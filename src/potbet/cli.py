@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -172,16 +171,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             (outdir / f"model_{tid}.json").write_text(model.to_json() + "\n")
             observed = reduce_mod.count_events(target, spec)
             est = estimate.estimate_frequency(model, spec, observed, cfg.estimate_config())
-            answer_rows.append((
-                tid, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
-                _fmt(est.achieved_coverage), _fmt(est.lam),
-                cfg.n_replications, cfg.seed,
-            ))
             if cfg.emit_plot_data:
                 exc = potmodel.extract_exceedances(target, p_star,
                                                    use_aux=target.has_aux)
                 _emit_plot_data(outdir, cfg, target, model, exc, model.scale)
                 _emit_poisson_plot(outdir, cfg, tid, est)
+            # answered only once every output of the target succeeded
+            answer_rows.append((
+                tid, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
+                _fmt(est.achieved_coverage), _fmt(est.lam),
+                cfg.n_replications, cfg.seed,
+            ))
             report[tid] = {
                 "p_star": p_star,
                 "scores": selection.scores,
@@ -189,7 +189,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 "point": est.point,
                 "ci": (est.ci_lo, est.ci_hi),
             }
-        except Exception as exc:  # keep remaining targets running
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            # a domain failure of one target; the remaining targets still run,
+            # and anything else is a programming error that must surface
             errors[tid] = f"{type(exc).__name__}: {exc}"
     _write_csv(
         outdir / "answer.csv", cfg,
@@ -411,9 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # POTX_THREADS caps worker parallelism; the current implementation is
-    # sequential, which respects any cap.
-    os.environ.setdefault("POTX_THREADS", "0")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -63,6 +63,9 @@ def poisson_interval(lam: float, confidence: float) -> tuple:
 
     Ties at minimal length are broken by larger mass, then smaller a.
     Returns (a, b, achieved_mass).
+
+    The largest window mass never falls as the length grows, so the minimal
+    length is found by bisection, each step one numpy pass over the windows.
     """
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
@@ -71,16 +74,26 @@ def poisson_interval(lam: float, confidence: float) -> tuple:
     bmax = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
     pmf = stats.poisson.pmf(np.arange(bmax + 1), lam)
     cum = np.concatenate([[0.0], np.cumsum(pmf)])
-    for length in range(bmax + 1):
-        best = None
-        for a in range(bmax - length + 1):
-            mass = cum[a + length + 1] - cum[a]
-            if mass >= confidence - 1e-12:
-                if best is None or mass > best[2] + 1e-15:
-                    best = (a, a + length, mass)
-        if best is not None:
-            return best[0], best[1], float(best[2])
-    raise RuntimeError("search bound exhausted without reaching confidence")
+    need = confidence - 1e-12
+    if cum[-1] < need:
+        raise RuntimeError("search bound exhausted without reaching confidence")
+
+    def masses(length: int) -> np.ndarray:  # of [a, a + length], a = 0..bmax - length
+        return cum[length + 1:] - cum[:-length - 1]
+
+    lo, hi = 0, bmax  # the minimal feasible length lies in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if masses(mid).max() >= need:
+            hi = mid
+        else:
+            lo = mid + 1
+    window = masses(hi)
+    best = None
+    for a in np.flatnonzero(window >= need):  # ascending a, as the tie rule needs
+        if best is None or window[a] > window[best] + 1e-15:
+            best = a
+    return int(best), int(best) + hi, float(window[best])
 
 
 def interval_to_frequency(lo_count: int, hi_count: int, total_runs: int = 50) -> tuple:

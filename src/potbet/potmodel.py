@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from .ingest import DAYS_PER_YEAR
 from .reduce import InsufficientDataError, UnivariateTarget
 
 PERIOD = 365.0
@@ -119,11 +120,16 @@ def cyclic_design_matrix(days, n_basis: int) -> np.ndarray:
 
 @dataclass
 class CyclicScale:
-    """365-periodic positive scale function on a cyclic cubic spline basis."""
+    """365-periodic positive scale function on a cyclic cubic spline basis.
+
+    ``table[d - 1]`` is the scale at integer day of year d (1..365), computed
+    once; sampling indexes it instead of building a design matrix per draw.
+    """
 
     n_basis: int
     coefficients: np.ndarray
     floor: float
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -131,6 +137,7 @@ class CyclicScale:
             raise ValueError("coefficient length must equal n_basis")
         if self.floor <= 0:
             raise ValueError("floor must be > 0")
+        self.table = self(np.arange(1, DAYS_PER_YEAR + 1))
 
     @property
     def knots(self) -> np.ndarray:
@@ -223,7 +230,11 @@ class PotModel:
     shape: float = 0.0    # tail shape, fixed at 0 (exponential)
 
     def __post_init__(self):
-        self.day_pool = np.asarray(self.day_pool, dtype=np.int64)
+        pool = np.asarray(self.day_pool)
+        if not (pool.ndim == 1 and np.issubdtype(pool.dtype, np.integer)
+                and np.all((pool >= 1) & (pool <= DAYS_PER_YEAR))):
+            raise ValueError(f"day_pool must be integer days of year in 1..{DAYS_PER_YEAR}")
+        self.day_pool = pool.astype(np.int64)
         if self.kind not in ("direct", "angular"):
             raise ValueError(f"kind must be 'direct' or 'angular', got {self.kind!r}")
         if self.shape != 0.0:
@@ -298,7 +309,7 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = rng.choice(model.day_pool, size=n, replace=True)
     e = rng.exponential(size=n)
-    y = model.q + model.scale(d) * e
+    y = model.q + model.scale.table[d - 1] * e
     if model.kind == "angular":
         theta = rng.uniform(0.0, math.pi / 2.0, size=n)
         y = y * np.minimum(np.sin(theta), np.cos(theta))

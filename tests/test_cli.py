@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from potbet import estimate
 from potbet.cli import PipelineConfig, build_parser, main, run_pipeline
 
 
@@ -136,6 +137,20 @@ class TestEstimate:
         assert rc == 2
         assert "fitted at p=0.95" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("day", [0, 366])
+    def test_pool_day_outside_year_exits_2(self, tmp_path, capsys, day):
+        cfg, model = self.fitted_model(tmp_path)
+        obj = json.loads(model.read_text())
+        obj["day_pool"][-1] = day
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
+                   "--observed-count", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "day_pool" in err
+        assert err.count("\n") == 1
+
 
 class TestRunPipeline:
     def test_full_run_emits_answer_and_plots(self, tmp_path, capsys):
@@ -184,6 +199,29 @@ class TestRunPipeline:
         captured = capsys.readouterr()
         assert rc == 1
         assert "T2: FAILED" in captured.err
+
+    def test_failed_target_writes_no_answer_row(self, tmp_path, capsys):
+        # criterion 2's panel: the game picks T2 p* = 0.9995 with 18
+        # exceedances, too few for the Q-Q plot data written after the estimate
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "synth": {"n_runs": 4, "years_per_run": 25, "seed": 6},
+            "targets": ["T2"], "n_basis": 6, "seed": 6, "years": 25,
+            "n_replications": 300, "out_dir": str(tmp_path / "out")}))
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 1
+        assert "T2: FAILED (InsufficientDataError: need >= 20 values" in capsys.readouterr().err
+        lines = (tmp_path / "out" / "answer.csv").read_text().splitlines()
+        assert lines[1].startswith("target_id,") and len(lines) == 2
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken stage")
+
+        monkeypatch.setattr(estimate, "estimate_frequency", broken)
+        cfg = PipelineConfig.from_file(small_config(tmp_path))
+        with pytest.raises(TypeError, match="broken stage"):
+            run_pipeline(cfg)
 
 
 class TestConfigAndErrors:

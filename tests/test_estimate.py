@@ -1,5 +1,7 @@
 """Tests for Monte Carlo frequency estimation and Poisson intervals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,24 @@ def enum_interval(lam, conf, bmax=500):
                     best = cand
                 break
     return best[2], best[3], -best[1]
+
+
+def scan_interval(lam, conf):
+    """The O(bmax^2) scan poisson_interval once was: every (length, a) pair
+    in ascending order, replacing on a mass larger by more than 1e-15."""
+    bmax = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
+    pmf = stats.poisson.pmf(np.arange(bmax + 1), lam)
+    cum = np.concatenate([[0.0], np.cumsum(pmf)])
+    for length in range(bmax + 1):
+        best = None
+        for a in range(bmax - length + 1):
+            mass = cum[a + length + 1] - cum[a]
+            if mass >= conf - 1e-12:
+                if best is None or mass > best[2] + 1e-15:
+                    best = (a, a + length, mass)
+        if best is not None:
+            return best[0], best[1], float(best[2])
+    raise RuntimeError("search bound exhausted")
 
 
 class TestPoissonInterval:
@@ -67,6 +87,33 @@ class TestPoissonInterval:
         a90 = poisson_interval(lam, 0.90)
         a95 = poisson_interval(lam, 0.95)
         assert a95[1] - a95[0] >= a90[1] - a90[0]
+
+    @pytest.mark.parametrize("lam,conf", [
+        # P(4) = P(5) at lambda 5, yet [5] computes one ulp heavier: the
+        # 1e-15 tie rule keeps a = 4 where a plain argmax would take 5
+        (5.0, 0.1),
+        (100.0, 0.92), (100.0, 0.51), (457.3, 0.95), (1234.5, 0.92),
+        (2500.7, 0.99), (5000.0, 0.92),
+    ])
+    def test_matches_quadratic_scan_oracle(self, lam, conf):
+        got = poisson_interval(lam, conf)
+        assert got == scan_interval(lam, conf)  # same bytes, tie rule included
+        assert all(type(v) is t for v, t in zip(got, (int, int, float)))
+
+    @given(st.floats(min_value=0.0, max_value=1e5),
+           st.floats(min_value=0.51, max_value=0.999))
+    @settings(max_examples=30, deadline=None)
+    def test_minimal_at_large_lambda(self, lam, conf):
+        lo, hi, achieved = poisson_interval(lam, conf)
+        bmax = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
+        cum = np.concatenate([[0.0], np.cumsum(
+            stats.poisson.pmf(np.arange(bmax + 1), lam))])
+        length = hi - lo
+        assert cum[hi + 1] - cum[lo] == achieved >= conf - 1e-12
+        # no shorter window reaches the confidence, none as long holds more
+        if length:
+            assert (cum[length:] - cum[:-length]).max() < conf - 1e-12
+        assert (cum[length + 1:] - cum[:-length - 1]).max() <= achieved + 1e-15
 
 
 class TestIntervalToFrequency:

@@ -131,6 +131,17 @@ class TestCyclicBasis:
         with pytest.raises(ValueError):
             cyclic_design_matrix(np.array([1.0]), 3)
 
+    @pytest.mark.parametrize("n_basis", [4, 6, 10, 23])
+    def test_table_is_the_scale_at_each_day(self, n_basis):
+        # a negative coefficient, so the floor clips part of the year
+        rng = np.random.default_rng(n_basis)
+        coef = rng.normal(1.0, 1.0, n_basis)
+        coef[0] = -5.0
+        scale = CyclicScale(n_basis=n_basis, coefficients=coef, floor=0.05)
+        assert scale.table.shape == (365,)
+        assert np.array_equal(scale.table, scale(np.arange(1, 366)))
+        assert scale.table.min() == 0.05
+
 
 def excess_set(days, excess, p=0.99, q=1.0):
     days = np.asarray(days)
@@ -290,6 +301,31 @@ class TestSampleModel:
         m.day_pool = np.array([], dtype=np.int64)
         with pytest.raises(ValueError):
             sample_model(m, 10, seed=0)
+
+    @pytest.mark.parametrize("target_id,p", [("T2", 0.99), ("T3", 0.9)])
+    @pytest.mark.parametrize("n", [2, 3, 17, 5000])
+    def test_equals_scale_evaluated_per_draw(self, target_id, p, n):
+        # the table lookup draws the same bytes as evaluating the spline at
+        # every sampled day, from the same RNG stream
+        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=10, seed=29))
+        model = fit_pot_model(reduce_target(data, TargetSpec.canonical(target_id)),
+                              p, n_basis=6)
+        rng = np.random.default_rng(30)
+        d = rng.choice(model.day_pool, size=n, replace=True)
+        want = model.q + model.scale(d) * rng.exponential(size=n)
+        if model.kind == "angular":
+            theta = rng.uniform(0.0, math.pi / 2.0, size=n)
+            want = want * np.minimum(np.sin(theta), np.cos(theta))
+        assert np.array_equal(sample_model(model, n, seed=30), want)
+
+
+class TestDayPool:
+    @pytest.mark.parametrize("pool", [[0], [1, 366], [400], [1.5], [[1, 2]]])
+    def test_outside_days_of_year_rejected(self, pool):
+        with pytest.raises(ValueError, match="day_pool"):
+            PotModel(target_id="X1", p=0.99, q=0.0,
+                     scale=CyclicScale(n_basis=4, coefficients=np.ones(4), floor=1e-9),
+                     day_pool=np.array(pool), kind="direct")
 
 
 class TestFitPotModel:
