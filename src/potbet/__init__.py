@@ -1,8 +1,9 @@
 """Rare-event frequency estimation from few climate runs.
 
 Seasonal peaks-over-threshold models with an exponential tail, quantile
-level selected by a betting game on top-order-statistic spacings, and Monte
-Carlo frequency estimates with minimal-length Poisson confidence intervals.
+level selected by a betting game on top-order-statistic spacings, and
+frequency estimates from exact binomial counts with minimal-length Poisson
+confidence intervals.
 """
 
 from .ingest import (
@@ -55,10 +56,19 @@ from .betting import (
 from .estimate import (
     EstimateConfig,
     FrequencyEstimate,
+    body_event_rate,
     estimate_frequency,
-    interval_to_frequency,
+    exceedance_probability,
     poisson_interval,
 )
-from .cli import PipelineConfig, run_pipeline
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use: importing it here would put it in
+    # sys.modules before `python -m potbet.cli` runs it as __main__
+    if name in ("PipelineConfig", "run_pipeline"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

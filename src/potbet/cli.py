@@ -12,13 +12,17 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import betting, estimate, ingest, potmodel
 from . import reduce as reduce_mod
+
+# the JSON values a config field of each annotated type accepts
+_JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
+               "bool": bool, "str": str}
 
 
 @dataclass
@@ -54,8 +58,23 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
+        """Load a JSON object of fields; unknown keys and wrong types are a ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"config {path} must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(known))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        for key, value in obj.items():
+            f = known[key]
+            if value is None and f.default is None:
+                continue
+            if not isinstance(value, _JSON_TYPES[f.type]) or (
+                    isinstance(value, bool) != (f.type == "bool")):
+                raise ValueError(f"config key {key!r} must be {f.type}, got {value!r}")
+        return cls(**obj)
 
     def config_hash(self) -> str:
         # where the outputs land must not change what they contain
@@ -136,10 +155,13 @@ def _emit_plot_data(outdir, cfg, target, model, exc, scale):
 def _emit_poisson_plot(outdir, cfg, tid, est):
     from scipy import stats as sstats
     counts = est.counts
+    # counts below both the smallest replicated one and the Poisson 1e-9
+    # quantile carry no mass worth a row; at a mean of 1e5 they are 98% of them
+    lo = min(int(counts.min()), int(sstats.poisson.ppf(1e-9, est.lam)))
     hi = int(counts.max()) + 1
-    ks = np.arange(hi + 1)
+    ks = np.arange(lo, hi + 1)
     pois = sstats.poisson.pmf(ks, est.lam)
-    emp = np.bincount(counts, minlength=hi + 1)[: hi + 1] / len(counts)
+    emp = np.bincount(counts - lo, minlength=hi - lo + 1) / len(counts)
     _write_csv(outdir / f"poisson_{tid}.csv", cfg, "count,poisson_prob,empirical_freq",
                ((int(k), _fmt(p), _fmt(e)) for k, p, e in zip(ks, pois, emp)))
 
@@ -170,7 +192,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             model = potmodel.fit_pot_model(target, p_star, n_basis=cfg.n_basis)
             (outdir / f"model_{tid}.json").write_text(model.to_json() + "\n")
             observed = reduce_mod.count_events(target, spec)
-            est = estimate.estimate_frequency(model, spec, observed, cfg.estimate_config())
+            est = estimate.estimate_frequency(
+                model, spec, observed, cfg.estimate_config(),
+                body_rate=estimate.body_event_rate(target, model, spec))
             if cfg.emit_plot_data:
                 exc = potmodel.extract_exceedances(target, p_star,
                                                    use_aux=target.has_aux)
@@ -306,13 +330,14 @@ def _cmd_estimate(args) -> int:
               file=sys.stderr)
         return 2
     spec = reduce_mod.TargetSpec.canonical(model.target_id)
+    target = reduce_mod.reduce_target(_load_data(cfg), spec)
     if args.observed_count is not None:
         observed = args.observed_count
     else:
-        data = _load_data(cfg)
-        target = reduce_mod.reduce_target(data, spec)
         observed = reduce_mod.count_events(target, spec)
-    est = estimate.estimate_frequency(model, spec, observed, cfg.estimate_config())
+    est = estimate.estimate_frequency(
+        model, spec, observed, cfg.estimate_config(),
+        body_rate=estimate.body_event_rate(target, model, spec))
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -1,8 +1,10 @@
-"""Monte Carlo frequency estimation and minimal-length Poisson intervals.
+"""Frequency estimation and minimal-length Poisson intervals.
 
-The fitted model generates the exceedances expected in the unseen runs;
-replicated counts give a median point estimate on the 1/total_runs grid and
-a Poisson-approximation confidence interval of minimal integer length.
+Under the fitted model each of the exceedances expected in the unseen runs
+crosses the event threshold independently with one probability, so a
+replication's count is binomial and is drawn as such; replicated counts
+give a median point estimate on the 1/total_runs grid and a
+Poisson-approximation confidence interval of minimal integer length.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .potmodel import PotModel, sample_model
-from .reduce import TargetSpec
+from .potmodel import PotModel
+from .reduce import TargetSpec, UnivariateTarget
 
 DAYS_PER_YEAR = 365
+QUARTER_PI = math.pi / 4.0
+QUADRATURE_NODES = 64  # Gauss-Legendre nodes for the angular integral
 
 
 @dataclass
@@ -96,11 +100,47 @@ def poisson_interval(lam: float, confidence: float) -> tuple:
     return int(best), int(best) + hi, float(window[best])
 
 
-def interval_to_frequency(lo_count: int, hi_count: int, total_runs: int = 50) -> tuple:
-    """Convert a count interval to a frequency interval (multiples of 1/total_runs)."""
-    if lo_count > hi_count:
-        raise ValueError("lo_count must be <= hi_count")
-    return lo_count / total_runs, hi_count / total_runs
+def exceedance_probability(model: PotModel, threshold: float) -> float:
+    """Probability that one ``sample_model`` draw is at or above the threshold.
+
+    A draw on day d is q + f(d) * E, so it reaches the threshold with
+    probability exp(-(threshold - q)+ / f(d)), averaged over the day pool.
+    The angular kind multiplies by min(sin T, cos T), T ~ U(0, pi/2), which
+    has the law of sin T', T' ~ U(0, pi/4); that average over T' is taken
+    by Gauss-Legendre quadrature.  The integrand is exactly 1 where
+    sin T' >= threshold / q, so the quadrature stops at that kink and the
+    flat part is added in closed form.
+    """
+    table = model.scale.table
+    if model.kind == "direct":
+        per_day = np.exp(-max(threshold - model.q, 0.0) / table)
+    else:
+        top = QUARTER_PI
+        if 0.0 < threshold < model.q:
+            top = min(top, math.asin(threshold / model.q))
+        x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+        theta = 0.5 * top * (x + 1.0)
+        excess = np.maximum(threshold / np.sin(theta) - model.q, 0.0)
+        integral = np.exp(-excess / table[:, None]) @ w * (0.5 * top)
+        per_day = (integral + (QUARTER_PI - top)) / QUARTER_PI
+    # integer day weights, divided last: a certain event gives exactly 1.0
+    weights = np.bincount(model.day_pool, minlength=DAYS_PER_YEAR + 1)[1:]
+    return float(weights @ per_day) / model.day_pool.size
+
+
+def body_event_rate(target: UnivariateTarget, model: PotModel, spec: TargetSpec) -> float:
+    """Share of the target's body days (series <= q) with y at or above the threshold.
+
+    The series is the one the model thresholds: the norm for paired targets,
+    y otherwise.  The tail model never sees these days, so their events are
+    counted at this observed rate.
+    """
+    series = target.ybar if target.has_aux else target.y
+    body = series <= model.q
+    n_body = int(np.sum(body))
+    if n_body == 0:
+        return 0.0
+    return int(np.sum(body & (target.y >= spec.event_threshold))) / n_body
 
 
 def lower_median(counts: np.ndarray) -> int:
@@ -113,12 +153,15 @@ def estimate_frequency(
     spec: TargetSpec,
     observed_count: int,
     cfg: EstimateConfig,
+    body_rate: float = 0.0,
 ) -> FrequencyEstimate:
-    """Replicated Monte Carlo count of threshold crossings in the unseen runs.
+    """Replicated count of threshold crossings in the unseen runs.
 
-    Each replication draws ceil((1-p) * unseen_days) exceedance-level
-    samples, counts those at or above the event threshold, and adds the
-    count observed in the given runs.
+    Each replication counts the m = ceil((1-p) * unseen_days) exceedances
+    that cross the event threshold, Binomial(m, pi) with pi from
+    ``exceedance_probability``; the other unseen days, which lie at or
+    below q, cross at ``body_rate`` (see ``body_event_rate``).  The count
+    observed in the given runs is added to every replication.
     """
     if model.target_id != spec.target_id:
         raise ValueError(
@@ -128,21 +171,19 @@ def estimate_frequency(
         raise ValueError("observed_count must be >= 0")
     unseen_days = cfg.unseen_runs * cfg.years * DAYS_PER_YEAR
     m = int(math.ceil((1.0 - model.p) * unseen_days))
-    root = np.random.SeedSequence([cfg.seed, 0xE57])
-    counts = np.empty(cfg.n_replications, dtype=np.int64)
-    for i, child in enumerate(root.spawn(cfg.n_replications)):
-        sample = sample_model(model, m, child)
-        counts[i] = int(np.sum(sample >= spec.event_threshold)) + observed_count
+    pi = exceedance_probability(model, spec.event_threshold)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
+    counts = rng.binomial(m, pi, size=cfg.n_replications) + observed_count
+    counts += rng.binomial(unseen_days - m, body_rate, size=cfg.n_replications)
     lam = float(np.mean(counts))
     lo, hi, achieved = poisson_interval(lam, cfg.confidence)
-    ci_lo, ci_hi = interval_to_frequency(lo, hi, cfg.total_runs)
     return FrequencyEstimate(
         target_id=spec.target_id,
         point=lower_median(counts) / cfg.total_runs,
         counts=counts,
         lam=lam,
-        ci_lo=ci_lo,
-        ci_hi=ci_hi,
+        ci_lo=lo / cfg.total_runs,
+        ci_hi=hi / cfg.total_runs,
         achieved_coverage=achieved,
         confidence=cfg.confidence,
         seed=cfg.seed,

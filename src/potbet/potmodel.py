@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -139,10 +138,6 @@ class CyclicScale:
             raise ValueError("floor must be > 0")
         self.table = self(np.arange(1, DAYS_PER_YEAR + 1))
 
-    @property
-    def knots(self) -> np.ndarray:
-        return np.arange(self.n_basis) * (PERIOD / self.n_basis)
-
     def __call__(self, days) -> np.ndarray:
         raw = cyclic_design_matrix(np.atleast_1d(days), self.n_basis) @ self.coefficients
         return np.maximum(raw, self.floor)
@@ -227,7 +222,6 @@ class PotModel:
     scale: CyclicScale
     day_pool: np.ndarray  # multiset of exceedance day-of-year values
     kind: str             # 'direct' | 'angular'
-    shape: float = 0.0    # tail shape, fixed at 0 (exponential)
 
     def __post_init__(self):
         pool = np.asarray(self.day_pool)
@@ -237,8 +231,6 @@ class PotModel:
         self.day_pool = pool.astype(np.int64)
         if self.kind not in ("direct", "angular"):
             raise ValueError(f"kind must be 'direct' or 'angular', got {self.kind!r}")
-        if self.shape != 0.0:
-            raise ValueError("only the exponential tail (shape 0) is supported")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -247,29 +239,35 @@ class PotModel:
                 "p": self.p,
                 "q": self.q,
                 "n_basis": self.scale.n_basis,
-                "knots": list(self.scale.knots),
                 "coefficients": [float(c) for c in self.scale.coefficients],
                 "floor": self.scale.floor,
                 "day_pool": [int(d) for d in self.day_pool],
                 "kind": self.kind,
-                "shape": self.shape,
             },
             indent=2,
         )
 
     @classmethod
     def from_json(cls, text: str) -> "PotModel":
+        """Load ``to_json`` output; older files may also carry ``knots``,
+        which is derived from n_basis, and ``shape``, which must be 0."""
         obj = json.loads(text)
-        scale = CyclicScale(
-            n_basis=obj["n_basis"],
-            coefficients=np.array(obj["coefficients"]),
-            floor=obj["floor"],
-        )
-        return cls(
-            target_id=obj["target_id"], p=obj["p"], q=obj["q"], scale=scale,
-            day_pool=np.array(obj["day_pool"]), kind=obj["kind"],
-            shape=obj.get("shape", 0.0),
-        )
+        if not isinstance(obj, dict):
+            raise ValueError("model JSON must be an object")
+        if obj.get("shape", 0.0) != 0.0:
+            raise ValueError("only the exponential tail (shape 0) is supported")
+        try:
+            scale = CyclicScale(
+                n_basis=obj["n_basis"],
+                coefficients=np.array(obj["coefficients"]),
+                floor=obj["floor"],
+            )
+            return cls(
+                target_id=obj["target_id"], p=obj["p"], q=obj["q"], scale=scale,
+                day_pool=np.array(obj["day_pool"]), kind=obj["kind"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"model JSON lacks the key {exc}") from None
 
 
 def fit_pot_model(

@@ -1,10 +1,15 @@
 """Command-line interface tests: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from scipy import stats
 
+import potbet
 from potbet import estimate
 from potbet.cli import PipelineConfig, build_parser, main, run_pipeline
 
@@ -137,6 +142,19 @@ class TestEstimate:
         assert rc == 2
         assert "fitted at p=0.95" in capsys.readouterr().err
 
+    def test_model_without_floor_exits_2(self, tmp_path, capsys):
+        cfg, model = self.fitted_model(tmp_path)
+        obj = json.loads(model.read_text())
+        del obj["floor"]
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
+                   "--observed-count", "0"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "'floor'" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("day", [0, 366])
     def test_pool_day_outside_year_exits_2(self, tmp_path, capsys, day):
         cfg, model = self.fitted_model(tmp_path)
@@ -163,6 +181,20 @@ class TestRunPipeline:
                 "seasonal_T2.csv", "adjusted_T2.csv", "qq_T2.csv",
                 "poisson_T2.csv"} <= names
         assert "T2: p_star=" in capsys.readouterr().out
+
+    def test_poisson_plot_rows_hold_every_count(self, tmp_path):
+        cfg = small_config(tmp_path, targets=["T1"])
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = Path(json.loads(cfg.read_text())["out_dir"])
+        lam = float((out / "answer.csv").read_text().splitlines()[2].split(",")[5])
+        rows = [line.split(",") for line in
+                (out / "poisson_T1.csv").read_text().splitlines()[2:]]
+        ks = [int(r[0]) for r in rows]
+        assert ks == list(range(ks[0], ks[-1] + 1))
+        assert sum(float(r[2]) for r in rows) == pytest.approx(1.0)
+        assert float(rows[-1][2]) == 0.0  # one row above the largest count
+        # rows start where the Poisson mass below them is negligible, not at 0
+        assert ks[0] > 0 and stats.poisson.cdf(ks[0] - 1, lam) < 1e-9
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -238,6 +270,31 @@ class TestConfigAndErrors:
         b = PipelineConfig(seed=2)
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == PipelineConfig(seed=1).config_hash()
+
+    @pytest.mark.parametrize("extra,message", [
+        ({"seedx": 1}, "unknown config keys: ['seedx']"),
+        ({"seed": "7"}, "config key 'seed' must be int, got '7'"),
+        ({"emit_plot_data": 1}, "config key 'emit_plot_data' must be bool"),
+        ({"confidence": True}, "config key 'confidence' must be float"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
+        cfg = small_config(tmp_path, **extra)
+        rc = main(["run", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
+    def test_config_accepts_int_for_float_and_null_synth(self, tmp_path):
+        cfg = PipelineConfig.from_file(small_config(tmp_path, alpha=1, synth=None))
+        assert cfg.alpha == 1 and cfg.synth is None
+
+    def test_module_entry_point_warns_nothing(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(potbet.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "potbet.cli", "--help"],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stderr == ""
+        assert "usage: potbet" in proc.stdout
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         rc = main(["reduce", "--data", str(tmp_path / "nope.csv"),

@@ -1,4 +1,4 @@
-"""Tests for Monte Carlo frequency estimation and Poisson intervals."""
+"""Tests for frequency estimation, exceedance probabilities and Poisson intervals."""
 
 import math
 
@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from potbet import estimate
 from potbet import (
     CyclicScale,
     EstimateConfig,
     PotModel,
     TargetSpec,
+    UnivariateTarget,
+    body_event_rate,
     estimate_frequency,
-    interval_to_frequency,
+    exceedance_probability,
     poisson_interval,
+    sample_model,
 )
 
 
@@ -116,17 +120,6 @@ class TestPoissonInterval:
         assert (cum[length + 1:] - cum[:-length - 1]).max() <= achieved + 1e-15
 
 
-class TestIntervalToFrequency:
-    def test_examples(self):
-        assert interval_to_frequency(0, 3) == (0.0, 0.06)
-        assert interval_to_frequency(12, 12) == (0.24, 0.24)
-        assert interval_to_frequency(5, 19) == (0.10, 0.38)
-
-    def test_order_validated(self):
-        with pytest.raises(ValueError):
-            interval_to_frequency(4, 2)
-
-
 def toy_model(q=0.0, coeff=1.0, p=0.9995, target_id="X1"):
     return PotModel(
         target_id=target_id, p=p, q=q,
@@ -191,6 +184,114 @@ class TestEstimateFrequency:
         est = estimate_frequency(model, spec, observed_count=2, cfg=cfg)
         assert est.lam == pytest.approx(float(np.mean(est.counts)))
         assert est.counts.min() >= 2  # observed add-on included everywhere
+
+
+def seasonal_model(kind, q, p=0.999):
+    """A model whose scale varies over the year and whose pool is uneven."""
+    return PotModel(
+        target_id="X1", p=p, q=q,
+        scale=CyclicScale(n_basis=4, coefficients=np.array([0.5, 1.5, 1.0, 2.0]),
+                          floor=1e-6),
+        day_pool=np.array([1, 1, 1, 40, 100, 200, 200, 290, 300, 365]), kind=kind,
+    )
+
+
+def assert_matches_sampling(model, threshold, n=2_000_000, seed=11):
+    """pi within 4 binomial standard errors of the share of n model draws."""
+    pi = exceedance_probability(model, threshold)
+    share = float(np.mean(sample_model(model, n, seed) >= threshold))
+    assert 0.0 < pi < 1.0
+    assert abs(pi - share) <= 4.0 * math.sqrt(pi * (1.0 - pi) / n)
+
+
+class TestExceedanceProbability:
+    @pytest.mark.parametrize("q,threshold", [(1.0, 2.5), (0.0, 0.7)])
+    def test_direct_matches_sampling(self, q, threshold):
+        assert_matches_sampling(seasonal_model("direct", q), threshold)
+
+    @pytest.mark.parametrize("q,threshold", [
+        (1.0, 1.5),   # threshold above q: no flat part
+        (2.5, 2.0),   # sin T' = 0.8 lies beyond pi/4: no flat part
+        (4.0, 2.0),   # the kink asin(1/2) = pi/6 falls inside (0, pi/4)
+    ])
+    def test_angular_matches_sampling(self, q, threshold):
+        assert_matches_sampling(seasonal_model("angular", q), threshold)
+
+    @pytest.mark.parametrize("q,threshold", [(1.0, 1.5), (2.5, 2.0), (4.0, 2.0),
+                                             (4.0, 0.5), (0.5, 6.0)])
+    def test_quadrature_converged(self, monkeypatch, q, threshold):
+        model = seasonal_model("angular", q)
+        coarse = exceedance_probability(model, threshold)
+        monkeypatch.setattr(estimate, "QUADRATURE_NODES", 512)
+        fine = exceedance_probability(model, threshold)
+        assert coarse == pytest.approx(fine, rel=1e-12, abs=0.0)
+
+    def test_direct_at_or_below_q_is_certain(self):
+        model = seasonal_model("direct", 3.0)
+        assert exceedance_probability(model, 3.0) == 1.0
+        assert exceedance_probability(model, -1.0) == 1.0
+
+    def test_direct_closed_form_weights_pool_days(self):
+        model = seasonal_model("direct", 1.0)
+        f = model.scale(model.day_pool)
+        assert exceedance_probability(model, 2.0) == pytest.approx(
+            float(np.mean(np.exp(-1.0 / f))), rel=1e-14)
+
+
+class TestBodyEventRate:
+    def test_direct_counts_body_days_at_or_above_threshold(self):
+        target = UnivariateTarget("X1", y=np.arange(10.0), d=np.arange(1, 11))
+        model = seasonal_model("direct", 6.0)
+        # q is an observed value, as an empirical quantile is, and its day is
+        # body: days 0..6 (7 of them), of which 2..6 reach the threshold 2
+        assert body_event_rate(target, model, TargetSpec("X1", 25, 2.0)) == 5 / 7
+
+    def test_paired_target_splits_on_the_norm(self):
+        y31 = np.array([1.0, 3.0, 5.0, 2.0])
+        y32 = np.array([1.0, 4.0, 5.0, 9.0])
+        target = UnivariateTarget("X1", y=np.minimum(y31, y32), d=np.arange(1, 5),
+                                  y31=y31, y32=y32, ybar=np.hypot(y31, y32))
+        model = seasonal_model("angular", 7.5)
+        # norms 1.41, 5, 7.07, 9.22: three body days, y = 1, 3, 5 among them
+        assert body_event_rate(target, model, TargetSpec("X1", 25, 3.0)) == 2 / 3
+
+
+class TestExactCounts:
+    def test_counts_have_binomial_moments(self):
+        model = seasonal_model("angular", 4.0)
+        spec = TargetSpec("X1", 25, 2.0)
+        cfg = EstimateConfig(n_replications=20_000, years=5, seed=8)
+        est = estimate_frequency(model, spec, observed_count=3, cfg=cfg)
+        m = int(np.ceil((1 - model.p) * 46 * 5 * 365))
+        pi = exceedance_probability(model, 2.0)
+        n = cfg.n_replications
+        mean, var = m * pi, m * pi * (1.0 - pi)
+        tail = est.counts - 3
+        assert tail.min() >= 0 and tail.max() <= m
+        assert abs(tail.mean() - mean) <= 4.0 * math.sqrt(var / n)
+        # the sample variance has a standard error close to var * sqrt(2 / n)
+        assert abs(tail.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / n)
+
+    def test_body_days_counted_when_q_above_threshold(self):
+        # every tail draw lies above q = 5 > 2, and a quarter of the body days
+        # reach the threshold: counts are m + Binomial(unseen - m, 1/4) + observed
+        target = UnivariateTarget("X1", y=np.array([0.0, 1.0, 2.5, 1.5, 9.0]),
+                                  d=np.arange(1, 6))
+        model = seasonal_model("direct", 5.0, p=0.99)
+        spec = TargetSpec("X1", 25, 2.0)
+        rate = body_event_rate(target, model, spec)
+        assert rate == 0.25
+        cfg = EstimateConfig(n_replications=2000, years=1, seed=9)
+        est = estimate_frequency(model, spec, observed_count=1, cfg=cfg,
+                                 body_rate=rate)
+        unseen = 46 * 365
+        m = int(np.ceil(0.01 * unseen))
+        body = est.counts - m - 1
+        assert body.min() >= 0
+        sd = math.sqrt((unseen - m) * 0.25 * 0.75)
+        assert abs(body.mean() - (unseen - m) * 0.25) <= 4.0 * sd / math.sqrt(2000)
+        without = estimate_frequency(model, spec, observed_count=1, cfg=cfg)
+        assert np.all(without.counts == m + 1)
 
 
 class TestEstimateConfig:

@@ -1,5 +1,6 @@
 """Tests for the seasonal exceedance model: quantiles, spline scale, sampling."""
 
+import json
 import math
 
 import numpy as np
@@ -361,3 +362,21 @@ class TestFitPotModel:
         assert back.q == model.q and back.p == model.p
         assert np.array_equal(back.day_pool, model.day_pool)
         assert back.kind == model.kind
+
+    def test_json_from_older_files_with_knots_and_shape(self):
+        data = generate_synthetic(SynthSpec(n_runs=1, years_per_run=20, seed=28))
+        t = reduce_target(data, TargetSpec.canonical("T2"))
+        model = fit_pot_model(t, 0.99, n_basis=6)
+        obj = json.loads(model.to_json())
+        assert "knots" not in obj and "shape" not in obj
+        obj.update(knots=[60.833 * j for j in range(6)], shape=0.0)
+        back = PotModel.from_json(json.dumps(obj))
+        assert np.array_equal(back.scale.table, model.scale.table)
+        obj["shape"] = 0.1
+        with pytest.raises(ValueError, match="shape 0"):
+            PotModel.from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ['{"p": 0.9}', "[1, 2]"])
+    def test_json_missing_keys_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            PotModel.from_json(text)
