@@ -16,7 +16,7 @@ is selected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,11 +64,11 @@ class BettingState:
     L1: float = 1.0          # capital of the constant bet 1
     W: float = 1.0           # wealth of the exponential-weighting bet
     gamma1: float = 0.5
-    history: list = field(default_factory=list)
 
-    @property
-    def k(self) -> int:
-        return len(self.history)
+    def __post_init__(self):
+        # |diff| <= clip < 2 and gamma1 in (0, 1) keep the factor, L0 and L1 > 0
+        if not 0.0 < self.clip < 2.0:
+            raise ValueError("clip must be in (0, 2) to keep capital positive")
 
     def step(self, y_obs: float, y_model: float) -> float:
         """Play one round; returns the updated wealth."""
@@ -77,8 +77,6 @@ class BettingState:
         self.L0 *= 1.0 - 0.5 * diff
         self.L1 *= 1.0 + 0.5 * diff
         self.W *= factor
-        assert factor > 0.0 and self.L0 > 0.0 and self.L1 > 0.0
-        self.history.append((y_obs, y_model, diff, factor))
         self.gamma1 = self.L1 / (self.L1 + self.L0)
         return self.W
 

@@ -9,7 +9,9 @@ a brute-force Monte Carlo oracle.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,11 +151,60 @@ def load_dataset(paths: list) -> Dataset:
     return Dataset(runs=runs)
 
 
-def _load_run(path) -> GridRun:
+# One CSV row: the three integer columns, then the 25 values.
+_ROW_DTYPE = np.dtype([
+    ("run_id", np.int64),
+    ("day_index", np.int64),
+    ("day_of_year", np.int64),
+    ("values", np.float64, (N_LOCATIONS,)),
+])
+
+
+@contextlib.contextmanager
+def _open_data_rows(path):
+    """Open a run file in text mode and check its header; yield the handle."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != CSV_HEADER:
+        if fh.readline().rstrip("\n") != CSV_HEADER:
             raise IngestError(f"{path}: bad header, expected '{CSV_HEADER}'")
+        yield fh
+
+
+def _load_run(path) -> GridRun:
+    """Load one run in a single vectorised pass.
+
+    A file the pass cannot take, or whose rows break a per-line rule, goes
+    through `_load_run_by_line`, which names the offending line.  That
+    parser also accepts the few spellings `np.loadtxt` rejects (such as
+    `1_0`, or integers beyond int64), so both accept the same files and,
+    on canonical files, return the same arrays.
+    """
+    with _open_data_rows(path) as fh:
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as "no data rows"
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                                  dtype=_ROW_DTYPE)
+        except ValueError:
+            rows = None
+    if (
+        rows is None
+        or rows.size == 0
+        or np.any(rows["run_id"] != rows["run_id"][0])
+        or not np.array_equal(rows["day_index"], np.arange(1, rows.size + 1))
+        or np.any((rows["day_of_year"] < 1) | (rows["day_of_year"] > 365))
+    ):
+        return _load_run_by_line(path)
+    return GridRun(
+        run_id=int(rows["run_id"][0]),
+        day_of_year=np.ascontiguousarray(rows["day_of_year"]),
+        values=np.ascontiguousarray(rows["values"]),
+    )
+
+
+def _load_run_by_line(path) -> GridRun:
+    """Parse and check one run line by line, naming the file and line at fault."""
+    with _open_data_rows(path) as fh:
         run_id = None
         days = []
         rows = []
@@ -199,9 +250,9 @@ def write_dataset(data: Dataset, paths: list) -> None:
     for run, path in zip(data.runs, paths):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
-            for i in range(run.n_days):
-                vals = ",".join(repr(float(v)) for v in run.values[i])
-                fh.write(f"{run.run_id},{i + 1},{run.day_of_year[i]},{vals}\n")
+            days = run.day_of_year.tolist()
+            for i, (doy, vals) in enumerate(zip(days, run.values.tolist()), start=1):
+                fh.write(f"{run.run_id},{i},{doy},{','.join(map(repr, vals))}\n")
 
 
 @dataclass

@@ -55,7 +55,13 @@ class TestBettingState:
         state = BettingState(clip=1.0)
         state.step(0.0, 7.3)  # raw diff 7.3 clipped to 1.0
         assert state.L1 == pytest.approx(1.5)
-        assert state.history[0][2] == 1.0
+        assert state.L0 == 0.5
+
+    @pytest.mark.parametrize("clip", [0.0, -1.0, 2.0, 3.0])
+    def test_clip_outside_open_interval_rejected(self, clip):
+        # a clip of 2 or more lets a round zero or flip the capital
+        with pytest.raises(ValueError, match="clip"):
+            BettingState(clip=clip)
 
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0),
                     min_size=1, max_size=30))

@@ -1,7 +1,14 @@
 """Tests for panel loading, validation and the synthetic generator."""
 
+import functools
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from potbet import (
     Dataset,
@@ -13,6 +20,7 @@ from potbet import (
     load_dataset,
     write_dataset,
 )
+from potbet import ingest
 from potbet.ingest import CSV_HEADER, IngestError
 
 
@@ -92,6 +100,177 @@ class TestRoundTrip:
         loaded = load_dataset([path])
         assert loaded.n_total == 365
         assert np.all(loaded.concat_values() == 0.0)
+
+
+
+def _outcome(loader, path):
+    """What a loader makes of a file: its arrays bit for bit, or its error."""
+    try:
+        run = loader(path)
+    except IngestError as exc:
+        return ("error", str(exc))
+    return (
+        "ok", run.run_id, type(run.run_id),
+        run.day_of_year.dtype, run.day_of_year.tobytes(),
+        run.values.dtype, run.values.shape, run.values.tobytes(),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_lines(seed):
+    """The lines (header first, no line ends) of a canonical one-year file."""
+    data = generate_synthetic(SynthSpec(n_runs=1, years_per_run=1, seed=seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.csv"
+        write_dataset(data, [path])
+        return tuple(path.read_text().splitlines())
+
+
+# Field spellings: some both parsers read, some only Python's int()/float()
+# reads, some neither does.
+_VALUE_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "nan", "inf", "-inf", "NaN", "Infinity", "-0.0", "1e400", "1e-400",
+        "5e-324", " 2.5 ", "+1.5", ".5", "5.", "1_0.5", "1E3", "", "abc",
+        "0x1p3", "1 2", "-1.0",
+    ]),
+)
+
+
+def _int_spellings(text):
+    """Other spellings of the integer field `text`."""
+    return st.sampled_from([
+        f"{text}.0", f"{text}e0", f"0_{text}", "_".join(text), f" {text} ",
+        f"+{text}", f"0{text}", f"{text}x", "",
+    ])
+
+
+_CORRUPTIONS = (
+    "truncate_row", "truncate_file", "extra_column", "missing_column",
+    "value", "int_spelling", "run_id_changed", "run_id_everywhere",
+    "day_index_changed", "skip_row", "repeat_row", "day_of_year_out",
+    "blank_line", "whitespace_line", "header_only",
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """A canonical file, corrupted in up to three ways, as bytes."""
+    lines = list(_canonical_lines(draw(st.integers(0, 2))))
+    # mostly one corruption, so that the first bad line is the one made bad
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(_CORRUPTIONS))
+        n = len(lines) - 1
+        if n == 0:
+            break
+        i = draw(st.integers(1, n))
+        fields = lines[i].split(",")
+        if kind == "truncate_row":
+            lines[i] = lines[i][:draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "truncate_file":
+            lines = lines[:1 + draw(st.integers(1, n))]
+        elif kind == "extra_column":
+            lines[i] += "," + draw(_VALUE_TEXT)
+        elif kind == "missing_column":
+            lines[i] = ",".join(fields[:-1])
+        elif kind == "value" and len(fields) > 3:
+            fields[draw(st.integers(3, len(fields) - 1))] = draw(_VALUE_TEXT)
+            lines[i] = ",".join(fields)
+        elif kind == "int_spelling" and len(fields) > 3:
+            j = draw(st.integers(0, 2))
+            fields[j] = draw(_int_spellings(fields[j]))
+            lines[i] = ",".join(fields)
+        elif kind == "run_id_changed":
+            fields[0] = str(draw(st.sampled_from([1, -1, 2**63, 2**70])))
+            lines[i] = ",".join(fields)
+        elif kind == "day_index_changed" and len(fields) > 1:
+            fields[1] = str(i + draw(st.sampled_from([-1, 1, 2**63])))
+            lines[i] = ",".join(fields)
+        elif kind == "day_of_year_out" and len(fields) > 2:
+            fields[2] = draw(st.sampled_from(["0", "366"]))
+            lines[i] = ",".join(fields)
+        elif kind == "run_id_everywhere":
+            rid = str(draw(st.sampled_from([0, 7, 2**63 - 1, 2**63, 2**70, -(2**63) - 1])))
+            lines[1:] = [rid + line[line.find(","):] if "," in line else line
+                         for line in lines[1:]]
+        elif kind == "skip_row":
+            del lines[i]
+        elif kind == "repeat_row":
+            lines.insert(i, lines[i])
+        elif kind == "blank_line":
+            lines.insert(draw(st.integers(1, n + 1)), "")
+        elif kind == "whitespace_line":
+            lines.insert(draw(st.integers(1, n + 1)), draw(st.sampled_from([" ", "\t"])))
+        elif kind == "header_only":
+            lines = lines[:1]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = newline if draw(st.booleans()) else ""
+    return (newline.join(lines) + final).encode("utf-8")
+
+
+class TestFastPass:
+    @given(_csv_files())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_agrees_with_line_by_line_parser(self, tmp_path, content):
+        path = tmp_path / "run.csv"
+        path.write_bytes(content)
+        assert _outcome(ingest._load_run, path) == _outcome(ingest._load_run_by_line, path)
+
+    @pytest.mark.parametrize("line_end,blank_lines,final_newline", [
+        ("\n", False, True),
+        ("\r\n", False, True),
+        ("\n", True, True),
+        ("\n", False, False),
+    ])
+    def test_canonical_files_take_the_fast_pass(
+        self, tmp_path, monkeypatch, line_end, blank_lines, final_newline
+    ):
+        data = generate_synthetic(small_spec())
+        paths = [tmp_path / f"run_{r.run_id}.csv" for r in data.runs]
+        write_dataset(data, paths)
+        for path in paths:
+            lines = path.read_text().splitlines()
+            if blank_lines:
+                lines.insert(1, "")
+                lines.insert(100, "")
+            text = line_end.join(lines) + (line_end if final_newline else "")
+            path.write_bytes(text.encode("utf-8"))
+
+        def refuse(path):
+            raise AssertionError(f"{path} fell back to the line-by-line parser")
+
+        monkeypatch.setattr(ingest, "_load_run_by_line", refuse)
+        loaded = load_dataset(paths)
+        for a, b in zip(data.runs, loaded.runs):
+            assert a.run_id == b.run_id and type(b.run_id) is int
+            assert np.array_equal(a.day_of_year, b.day_of_year)
+            assert np.array_equal(a.values, b.values)
+            assert b.values.flags.c_contiguous and b.day_of_year.flags.c_contiguous
+
+    @pytest.mark.parametrize("spelling,field", [("1_0", 2), (str(2**63), 0)])
+    def test_spellings_only_python_reads_still_load(self, tmp_path, spelling, field):
+        # loadtxt rejects these, int() takes them: the file loads as before
+        lines = list(_canonical_lines(0))
+        for i in range(1, len(lines)):
+            fields = lines[i].split(",")
+            if field == 0 or fields[field] == "10":
+                fields[field] = spelling
+            lines[i] = ",".join(fields)
+        path = tmp_path / "run.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = _outcome(ingest._load_run, path)
+        assert got[0] == "ok"
+        assert got == _outcome(ingest._load_run_by_line, path)
+
+    def test_header_only_file_is_an_error_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IngestError, match="no data rows"):
+                load_dataset([path])
 
 
 class TestSynthetic:
