@@ -39,6 +39,7 @@ from .potmodel import (
     observed_exceedance_values,
     qq_exponential,
     sample_model,
+    sample_top,
 )
 from .betting import (
     BettingState,

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import potmodel
-from .reduce import UnivariateTarget
+from .reduce import InsufficientDataError, UnivariateTarget
 
 DEFAULT_LEVEL_GRID = (0.9, 0.99, 0.995, 0.999, 0.9992, 0.9995, 0.9997, 0.9999)
 
@@ -72,7 +72,14 @@ class BettingState:
 
     def step(self, y_obs: float, y_model: float) -> float:
         """Play one round; returns the updated wealth."""
-        diff = min(max(y_model - y_obs, -self.clip), self.clip)
+        return self.bet(min(max(y_model - y_obs, -self.clip), self.clip))
+
+    def bet(self, diff):
+        """Play one round on a clipped model - observed difference.
+
+        ``diff`` may be a float or an array with one entry per game; the
+        capitals then become arrays and every game is updated at once.
+        """
         factor = 1.0 + (self.gamma1 - 0.5) * diff
         self.L0 *= 1.0 - 0.5 * diff
         self.L1 *= 1.0 + 0.5 * diff
@@ -95,16 +102,18 @@ class GameResult:
 def top_spacings(values: np.ndarray, K: int) -> np.ndarray:
     """Round values of one sample: j * (X_(j) - X_(j+1)) for j = K..1.
 
-    X_(1) >= X_(2) >= ... are the order statistics of `values`, so the
-    result is read from its K+1 largest entries, in played order (the
-    spacing below the K-th largest first, the one below the maximum last).
+    X_(1) >= X_(2) >= ... are the order statistics of `values` along its
+    last axis, so the result is read from its K+1 largest entries, in played
+    order (the spacing below the K-th largest first, the one below the
+    maximum last).  Leading axes index independent samples.
     """
     values = np.asarray(values, dtype=np.float64)
-    n = values.size
+    n = values.shape[-1]
     if n < K + 1:
         raise GameInfeasibleError(f"need at least K+1={K + 1} values, got {n}")
-    top = np.sort(np.partition(values, n - K - 1)[n - K - 1:])  # X_(K+1)..X_(1)
-    return np.arange(K, 0, -1) * np.diff(top)
+    # X_(K+1)..X_(1)
+    top = np.sort(np.partition(values, n - K - 1, axis=-1)[..., n - K - 1:], axis=-1)
+    return np.arange(K, 0, -1) * np.diff(top, axis=-1)
 
 
 def run_rounds(
@@ -113,8 +122,8 @@ def run_rounds(
     """Play the game on paired per-round values, in the order given.
 
     Round k bets on model_rounds[k] - obs_rounds[k] (clipped by
-    BettingState).  play_game and null_calibration pass the top_spacings of
-    each side, so when the model is coherent with the observations the pairs
+    BettingState).  play_game passes the top_spacings of each side (as
+    null_calibration does for its batched games), so when the model is coherent with the observations the pairs
     are exchangeable within a round and (exactly for one exponential scale)
     independent across rounds.
     """
@@ -150,8 +159,8 @@ def play_game(
     """
     y_obs = np.asarray(y_obs, dtype=np.float64)
     obs_rounds = top_spacings(y_obs, cfg.K)
-    sample = potmodel.sample_model(model, y_obs.size,
-                                   cfg.seed if seed is None else seed)
+    sample = potmodel.sample_top(model, y_obs.size, cfg.K + 1,
+                                 cfg.seed if seed is None else seed)
     return run_rounds(obs_rounds, top_spacings(sample, cfg.K),
                       clip=cfg.clip, alpha=cfg.alpha)
 
@@ -182,7 +191,8 @@ def select_level(
     """Score every grid level by terminal wealth and pick the minimizer.
 
     Each level gets a full model fit and one game with a seed derived from
-    (cfg.seed, level).  Levels above cfg.max_level are scored but never
+    (cfg.seed, level).  A level with fewer exceedances than a Q-Q report
+    needs is a failure.  Levels above cfg.max_level are scored but never
     selected; ties go to the larger level.
     """
     scores: dict = {}
@@ -193,6 +203,11 @@ def select_level(
             model = potmodel.fit_pot_model(target, p, n_basis=cfg.n_basis)
             y_obs = potmodel.observed_exceedance_values(target, model)
             result = play_game(y_obs, model, cfg, seed=level_seed(cfg.seed, p))
+            if model.day_pool.size < potmodel.MIN_QQ_VALUES:
+                # the selected level's plot data could not be reported
+                raise InsufficientDataError(
+                    f"{model.day_pool.size} exceedances < {potmodel.MIN_QQ_VALUES}"
+                    " needed for a Q-Q report")
         except (ValueError, np.linalg.LinAlgError) as exc:
             failures[p] = str(exc)
             continue
@@ -235,6 +250,10 @@ def null_calibration(
     This is exact when the model has a single exponential scale (the
     normalised spacings are then iid, Renyi 1953); for the seasonal mixture
     that sample_model draws it holds closely but not exactly.
+
+    Each trial draws its two samples from its own RNG streams, keeping only
+    their K+1 largest values (sample_top); all trials then play as one game
+    on arrays, round by round, with the updates run_rounds makes per game.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -242,16 +261,19 @@ def null_calibration(
     if n < cfg.K + 1:
         raise GameInfeasibleError(f"sample size {n} < K+1={cfg.K + 1}")
     root = np.random.SeedSequence([cfg.seed, 0xCA11B])
-    wealths = np.empty(trials)
-    rejections = 0
+    # tops[0, i] and tops[1, i]: trial i's observed and model sides
+    tops = np.empty((2, trials, cfg.K + 1))
     for i, child in enumerate(root.spawn(trials)):
-        s_obs, s_mod = child.spawn(2)
-        obs = potmodel.sample_model(model, n, s_obs)
-        mod = potmodel.sample_model(model, n, s_mod)
-        result = run_rounds(top_spacings(obs, cfg.K), top_spacings(mod, cfg.K),
-                            clip=cfg.clip, alpha=cfg.alpha)
-        wealths[i] = result.terminal_wealth
-        rejections += ville_rejects(result, cfg.alpha)
+        for side, s in enumerate(child.spawn(2)):
+            tops[side, i] = potmodel.sample_top(model, n, cfg.K + 1, s)
+    obs, mod = top_spacings(tops, cfg.K)
+    diffs = np.clip(mod - obs, -cfg.clip, cfg.clip)
+    state = BettingState(clip=cfg.clip)
+    peak = np.zeros(trials)
+    for k in range(cfg.K):
+        peak = np.maximum(peak, state.bet(diffs[:, k]))
+    wealths = state.W
+    rejections = int(np.count_nonzero(peak >= 1.0 / cfg.alpha))
     return CalibrationReport(
         trials=trials,
         rejection_fraction=rejections / trials,

@@ -153,14 +153,13 @@ def _emit_plot_data(outdir, cfg, target, model, exc, scale):
 
 
 def _emit_poisson_plot(outdir, cfg, tid, est):
-    from scipy import stats as sstats
     counts = est.counts
     # counts below both the smallest replicated one and the Poisson 1e-9
     # quantile carry no mass worth a row; at a mean of 1e5 they are 98% of them
-    lo = min(int(counts.min()), int(sstats.poisson.ppf(1e-9, est.lam)))
+    lo = min(int(counts.min()), int(estimate.poisson_ppf(1e-9, est.lam)))
     hi = int(counts.max()) + 1
     ks = np.arange(lo, hi + 1)
-    pois = sstats.poisson.pmf(ks, est.lam)
+    pois = estimate.poisson_pmf(ks, est.lam)
     emp = np.bincount(counts - lo, minlength=hi - lo + 1) / len(counts)
     _write_csv(outdir / f"poisson_{tid}.csv", cfg, "count,poisson_prob,empirical_freq",
                ((int(k), _fmt(p), _fmt(e)) for k, p, e in zip(ks, pois, emp)))

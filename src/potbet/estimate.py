@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .potmodel import PotModel
 from .reduce import TargetSpec, UnivariateTarget
@@ -62,6 +62,20 @@ class FrequencyEstimate:
     seed: int
 
 
+def poisson_pmf(k, mu):
+    """Poisson(mu) probability of k, as ``scipy.stats.poisson.pmf`` computes
+    it for integer k >= 0 and mu >= 0 (scipy.stats costs a second to import)."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(k + 1) - mu)
+
+
+def poisson_ppf(q, mu):
+    """Smallest k with Poisson(mu) cdf at least q, as
+    ``scipy.stats.poisson.ppf`` computes it for 0 < q < 1 and mu >= 0."""
+    vals = np.ceil(special.pdtrik(q, mu))
+    below = np.maximum(vals - 1, 0)
+    return np.where(special.pdtr(below, mu) >= q, below, vals)
+
+
 def poisson_interval(lam: float, confidence: float) -> tuple:
     """Minimal-length integer interval [a, b] with Poisson(lam) mass >= confidence.
 
@@ -76,7 +90,7 @@ def poisson_interval(lam: float, confidence: float) -> tuple:
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
     bmax = int(math.ceil(lam + 10.0 * math.sqrt(lam + 1.0) + 10.0))
-    pmf = stats.poisson.pmf(np.arange(bmax + 1), lam)
+    pmf = poisson_pmf(np.arange(bmax + 1), lam)
     cum = np.concatenate([[0.0], np.cumsum(pmf)])
     need = confidence - 1e-12
     if cum[-1] < need:

@@ -21,6 +21,7 @@ PERIOD = 365.0
 SQRT50 = math.sqrt(50.0)
 
 DEFAULT_N_BASIS = 10
+MIN_QQ_VALUES = 20  # the fewest adjusted exceedances a Q-Q report is made from
 
 
 class LevelTooHighError(ValueError):
@@ -196,8 +197,9 @@ class QQReport:
 def qq_exponential(adj: AdjustedExceedances) -> QQReport:
     """Pairs (exponential quantile scaled by the sample mean, order statistic)."""
     n = len(adj.values)
-    if n < 20:
-        raise InsufficientDataError(f"need >= 20 values for a Q-Q report, got {n}")
+    if n < MIN_QQ_VALUES:
+        raise InsufficientDataError(
+            f"need >= {MIN_QQ_VALUES} values for a Q-Q report, got {n}")
     observed = np.sort(adj.values)
     k = np.arange(1, n + 1)
     theoretical = -np.log(1.0 - (k - 0.5) / n) * float(np.mean(adj.values))
@@ -293,6 +295,40 @@ def fit_pot_model(
     )
 
 
+# min(sin T, cos T) <= sqrt(2)/2 = 0.70710678..., so base * ANGULAR_BOUND is
+# an upper bound on an angular draw (rounding is monotone, so also in floats)
+ANGULAR_BOUND = 0.7072
+# sample_top evaluates the angular factor first on the PREPASS * k largest
+# bases; their k-th largest draw bounds the sample's k-th largest from below
+PREPASS = 8
+
+
+def _draw(model: PotModel, n: int, seed):
+    """One RNG stream for both samplers: the bases q + f(D) * E, and for the
+    angular kind the angles Theta (None for the direct kind)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if model.day_pool.size == 0:
+        raise ValueError("model has an empty day pool")
+    rng = np.random.default_rng(seed)
+    # the stream of rng.choice(day_pool, size=n), without its overhead
+    d = model.day_pool[rng.integers(0, model.day_pool.size, size=n)]
+    e = rng.exponential(size=n)
+    base = model.q + model.scale.table[d - 1] * e
+    if model.kind == "direct":
+        return base, None
+    return base, rng.uniform(0.0, math.pi / 2.0, size=n)
+
+
+def _angular(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return base * np.minimum(np.sin(theta), np.cos(theta))
+
+
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values, ascending."""
+    return np.sort(np.partition(values, values.size - k)[values.size - k:])
+
+
 def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     """Draw n independent exceedance-level samples from the fitted model.
 
@@ -300,18 +336,30 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     standard exponential; the angular kind multiplies by
     min(sin Theta, cos Theta), Theta ~ U([0, pi/2]).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if model.day_pool.size == 0:
-        raise ValueError("model has an empty day pool")
-    rng = np.random.default_rng(seed)
-    d = rng.choice(model.day_pool, size=n, replace=True)
-    e = rng.exponential(size=n)
-    y = model.q + model.scale.table[d - 1] * e
-    if model.kind == "angular":
-        theta = rng.uniform(0.0, math.pi / 2.0, size=n)
-        y = y * np.minimum(np.sin(theta), np.cos(theta))
-    return y
+    base, theta = _draw(model, n, seed)
+    return base if theta is None else _angular(base, theta)
+
+
+def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
+    """The k largest values of ``sample_model(model, n, seed)``, ascending,
+    bit for bit.
+
+    The angular factor is evaluated only on the draws that can reach the
+    top k: those whose upper bound base * ANGULAR_BOUND is at least the k-th
+    largest exact draw among the PREPASS * k largest bases.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    base, theta = _draw(model, n, seed)
+    if theta is None:
+        return _top(base, k)
+    # the bound needs base >= 0, which q >= 0 guarantees
+    if n <= PREPASS * k or model.q < 0.0:
+        return _top(_angular(base, theta), k)
+    pre = np.argpartition(base, n - PREPASS * k)[n - PREPASS * k:]
+    floor = _top(_angular(base[pre], theta[pre]), k)[0]
+    keep = np.flatnonzero(base * ANGULAR_BOUND >= floor)
+    return _top(_angular(base[keep], theta[keep]), k)
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:

@@ -18,12 +18,13 @@ from potbet import (
     play_game,
     reduce_target,
     run_rounds,
+    sample_model,
     select_level,
     top_spacings,
     ville_rejects,
 )
 from potbet.betting import GameInfeasibleError, level_seed
-from potbet.potmodel import observed_exceedance_values
+from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
 
 
 class TestBettingState:
@@ -62,6 +63,18 @@ class TestBettingState:
         # a clip of 2 or more lets a round zero or flip the capital
         with pytest.raises(ValueError, match="clip"):
             BettingState(clip=clip)
+
+    @given(st.lists(st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                             min_size=3, max_size=3),
+                    min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_array_bet_plays_each_game_as_its_scalar_steps(self, rounds):
+        batch = BettingState()
+        games = [BettingState() for _ in range(3)]
+        for diffs in rounds:
+            wealths = batch.bet(np.array(diffs))
+            assert np.array_equal(wealths, [g.step(0.0, d) for g, d in zip(games, diffs)])
+        assert np.array_equal(batch.L1, [g.L1 for g in games])
 
     @given(st.lists(st.floats(min_value=-1.0, max_value=1.0),
                     min_size=1, max_size=30))
@@ -219,6 +232,20 @@ class TestSelectLevel:
         assert "K+1" in sel.failures[0.99]
         assert sel.p_star == 0.9
 
+    def test_level_too_small_for_a_qq_report_is_a_failure(self):
+        # a selected level must leave enough exceedances for the plot data
+        target = small_target(seed=4, years=2)
+        model = fit_pot_model(target, 0.99, n_basis=4)
+        n = model.day_pool.size
+        assert 3 + 1 <= n < MIN_QQ_VALUES
+        cfg = GameConfig(K=3, level_grid=(0.9, 0.99), max_level=0.99,
+                         seed=1, n_basis=4)
+        sel = select_level(target, cfg)
+        assert sel.failures[0.99] == (
+            f"{n} exceedances < {MIN_QQ_VALUES} needed for a Q-Q report")
+        assert set(sel.scores) == {0.9}
+        assert sel.p_star == 0.9
+
     def test_all_levels_infeasible_raises_with_details(self):
         target = small_target(seed=4, years=2)
         cfg = GameConfig(level_grid=(0.9995, 0.9999), max_level=0.9999,
@@ -277,3 +304,44 @@ class TestNullCalibration:
         rep2 = null_calibration(model, cfg, trials=200, n_sample=150)
         assert np.array_equal(rep1.terminal_wealths, rep2.terminal_wealths)
         assert rep1.rejection_fraction == rep2.rejection_fraction
+
+
+def reference_calibration(model, cfg, trials, n):
+    """null_calibration's per-trial definition: two full samples per trial,
+    one scalar game each, on the same RNG streams."""
+    root = np.random.SeedSequence([cfg.seed, 0xCA11B])
+    wealths = np.empty(trials)
+    rejections = 0
+    for i, child in enumerate(root.spawn(trials)):
+        s_obs, s_mod = child.spawn(2)
+        result = run_rounds(top_spacings(sample_model(model, n, s_obs), cfg.K),
+                            top_spacings(sample_model(model, n, s_mod), cfg.K),
+                            clip=cfg.clip, alpha=cfg.alpha)
+        wealths[i] = result.terminal_wealth
+        rejections += ville_rejects(result, cfg.alpha)
+    return wealths, rejections / trials
+
+
+class TestBatchedCalibration:
+    @pytest.mark.parametrize("tid,p", [("T2", 0.95), ("T3", 0.9)])
+    @pytest.mark.parametrize("k", [2, 5, 25])
+    def test_equals_per_trial_reference(self, tid, p, k):
+        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=20, seed=6))
+        model = fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p,
+                              n_basis=4)
+        cfg = GameConfig(K=k, alpha=0.1, seed=31)
+        rep = null_calibration(model, cfg, trials=300)
+        wealths, rejection = reference_calibration(model, cfg, 300,
+                                                   model.day_pool.size)
+        assert np.array_equal(rep.terminal_wealths, wealths)
+        assert rep.rejection_fraction == rejection
+        if k == 25:
+            assert rejection > 0  # the running peak is exercised
+
+    def test_equals_reference_at_k_plus_one_draws(self):
+        model = fit_pot_model(small_target(seed=6, years=30), 0.95, n_basis=4)
+        cfg = GameConfig(K=5, alpha=0.1, seed=4)
+        rep = null_calibration(model, cfg, trials=200, n_sample=6)
+        wealths, rejection = reference_calibration(model, cfg, 200, 6)
+        assert np.array_equal(rep.terminal_wealths, wealths)
+        assert rep.rejection_fraction == rejection

@@ -1,17 +1,53 @@
 """Command-line interface tests: subcommands, outputs, exit codes."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import potbet
-from potbet import estimate
+from potbet import estimate, potmodel
 from potbet.cli import PipelineConfig, build_parser, main, run_pipeline
+
+# JSON values of every type, and for each annotated config type the ones it takes
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+ACCEPTS = {
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "bool": lambda v: type(v) is bool,
+    "str": lambda v: type(v) is str,
+    "list": lambda v: type(v) is list,
+    "dict": lambda v: type(v) is dict,
+}
+CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
+
+def bad_config_exits_2(obj) -> bool:
+    """from_file raises ValueError on obj, and `potbet run` exits 2 on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError):
+            PipelineConfig.from_file(path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(path), "--out", tmp])
+    return rc == 2 and err.getvalue().startswith("error:")
 
 
 def small_config(tmp_path, **overrides):
@@ -196,6 +232,17 @@ class TestRunPipeline:
         # rows start where the Poisson mass below them is negligible, not at 0
         assert ks[0] > 0 and stats.poisson.cdf(ks[0] - 1, lam) < 1e-9
 
+    def test_level_too_small_for_qq_not_selected(self, tmp_path, capsys):
+        # T2 once got p* = 0.9995 (18 exceedances) here, and its Q-Q report failed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "synth": {"n_runs": 4, "years_per_run": 25, "seed": 6},
+            "n_basis": 6, "seed": 6, "years": 25, "n_replications": 300}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "FAILED" not in capsys.readouterr().err
+        rows = (tmp_path / "answer.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[0] for r in rows] == ["T1", "T2", "T3"]
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)
         main(["run", "--config", str(cfg)])
@@ -232,9 +279,12 @@ class TestRunPipeline:
         assert rc == 1
         assert "T2: FAILED" in captured.err
 
-    def test_failed_target_writes_no_answer_row(self, tmp_path, capsys):
-        # criterion 2's panel: the game picks T2 p* = 0.9995 with 18
-        # exceedances, too few for the Q-Q plot data written after the estimate
+    def test_failed_target_writes_no_answer_row(self, tmp_path, capsys, monkeypatch):
+        # the Q-Q plot data, written after the estimate, sees only 18 of the
+        # adjusted exceedances, too few for a report: the estimate is dropped
+        real = potmodel.qq_exponential
+        monkeypatch.setattr(potmodel, "qq_exponential", lambda adj: real(
+            potmodel.AdjustedExceedances(adj.values[:18])))
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
             "synth": {"n_runs": 4, "years_per_run": 25, "seed": 6},
@@ -288,6 +338,30 @@ class TestConfigAndErrors:
     def test_config_accepts_int_for_float_and_null_synth(self, tmp_path):
         cfg = PipelineConfig.from_file(small_config(tmp_path, alpha=1, synth=None))
         assert cfg.alpha == 1 and cfg.synth is None
+
+    @given(st.text(min_size=1, max_size=8).filter(lambda k: k not in CONFIG_FIELDS),
+           JSON_VALUES)
+    @settings(max_examples=40, deadline=None)
+    def test_unknown_key_exits_2(self, key, value):
+        assert bad_config_exits_2({"seed": 1, key: value})
+
+    @given(st.sampled_from(sorted(CONFIG_FIELDS)), JSON_VALUES)
+    @example("seed", True)  # a bool is an int in Python, not in the config
+    @example("emit_plot_data", 0)
+    @example("seed", None)  # null is taken only where the default is None
+    @example("years", 25.0)
+    @settings(max_examples=150, deadline=None)
+    def test_wrong_json_type_exits_2(self, key, value):
+        f = CONFIG_FIELDS[key]
+        assume(not ACCEPTS[f.type](value) and not (value is None and f.default is None))
+        assert bad_config_exits_2({key: value})
+
+    def test_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about a second to import; potbet needs scipy.special only
+        env = dict(os.environ, PYTHONPATH=str(Path(potbet.__file__).parents[1]))
+        code = ("import sys, potbet, potbet.cli; "
+                "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_module_entry_point_warns_nothing(self):
         env = dict(os.environ, PYTHONPATH=str(Path(potbet.__file__).parents[1]))

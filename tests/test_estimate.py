@@ -56,6 +56,23 @@ def scan_interval(lam, conf):
     raise RuntimeError("search bound exhausted")
 
 
+class TestPoissonHelpers:
+    LAMBDAS = np.concatenate([np.linspace(0.0, 1e5, 201),
+                              np.geomspace(1e-6, 1e5, 200)])
+
+    def test_pmf_equals_scipy_stats(self):
+        for lam in self.LAMBDAS:
+            half = 12.0 * math.sqrt(lam + 1.0) + 12.0
+            ks = np.arange(max(0, int(lam - half)), int(lam + half) + 1)
+            assert np.array_equal(estimate.poisson_pmf(ks, lam),
+                                  stats.poisson.pmf(ks, lam)), lam
+
+    @pytest.mark.parametrize("q", [1e-9, 0.04, 0.5, 0.96])
+    def test_ppf_equals_scipy_stats(self, q):
+        assert np.array_equal(estimate.poisson_ppf(q, self.LAMBDAS),
+                              stats.poisson.ppf(q, self.LAMBDAS))
+
+
 class TestPoissonInterval:
     def test_lambda_zero_is_point_mass(self):
         assert poisson_interval(0.0, 0.92) == (0, 0, 1.0)

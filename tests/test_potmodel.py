@@ -24,8 +24,11 @@ from potbet import (
     qq_exponential,
     reduce_target,
     sample_model,
+    sample_top,
 )
 from potbet.potmodel import (
+    ANGULAR_BOUND,
+    PREPASS,
     ExceedanceSet,
     LevelTooHighError,
     cyclic_design_matrix,
@@ -318,6 +321,59 @@ class TestSampleModel:
             theta = rng.uniform(0.0, math.pi / 2.0, size=n)
             want = want * np.minimum(np.sin(theta), np.cos(theta))
         assert np.array_equal(sample_model(model, n, seed=30), want)
+
+
+def fitted_models():
+    """A direct (T2) and an angular (T3) model fitted on one small panel."""
+    data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=10, seed=29))
+    return [fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p, n_basis=6)
+            for tid, p in (("T2", 0.99), ("T3", 0.9))]
+
+
+SAMPLE_TOP_MODELS = fitted_models() + [
+    flat_model(), flat_model(kind="angular"), flat_model(kind="angular", q=3.0),
+    flat_model(kind="angular", q=-2.0),  # negative bases: no pruning
+]
+
+
+class TestSampleTop:
+    @given(st.sampled_from(range(len(SAMPLE_TOP_MODELS))),
+           st.integers(min_value=1, max_value=60),
+           st.one_of(st.just(0), st.integers(min_value=1, max_value=3000)),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_top_k_of_sample_model_bit_for_bit(self, which, k, extra, seed):
+        # extra = 0 is n = k; small extras give n < PREPASS * k
+        model = SAMPLE_TOP_MODELS[which]
+        n = k + extra
+        want = np.sort(sample_model(model, n, seed))[-k:]
+        assert np.array_equal(sample_top(model, n, k, seed), want)
+
+    @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
+    def test_pruned_path_at_calibration_sizes(self, which):
+        model = SAMPLE_TOP_MODELS[which]
+        for k in (3, 6, 26, 61):
+            n = 3649
+            assert n > PREPASS * k
+            for seed in range(5):
+                want = np.sort(sample_model(model, n, seed))[-k:]
+                assert np.array_equal(sample_top(model, n, k, seed), want)
+
+    @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        with pytest.raises(ValueError, match="k="):
+            sample_top(flat_model(), n, k, seed=0)
+
+    def test_angular_factor_below_bound_near_quarter_pi(self):
+        # the pruning bound: min(sin, cos) peaks at sqrt(2)/2 at pi/4
+        quarter = math.pi / 4.0
+        theta = np.concatenate([
+            np.linspace(quarter - 1e-3, quarter + 1e-3, 2_000_001),
+            quarter + np.arange(-1000, 1001) * np.spacing(quarter),
+            np.linspace(0.0, math.pi / 2.0, 100_001),
+        ])
+        factor = np.minimum(np.sin(theta), np.cos(theta))
+        assert factor.max() <= math.sqrt(2.0) / 2.0 < ANGULAR_BOUND
 
 
 class TestDayPool:
