@@ -21,7 +21,6 @@ from .reduce import (
     TargetSpec,
     UnivariateTarget,
     angular_diagnostic,
-    canonical_targets,
     count_events,
     reduce_target,
 )
@@ -47,6 +46,7 @@ from .betting import (
     GameConfig,
     GameResult,
     LevelSelection,
+    fit_levels,
     null_calibration,
     play_game,
     run_rounds,

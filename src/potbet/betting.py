@@ -52,6 +52,10 @@ class GameConfig:
             raise ValueError("clip must be in (0, 2) to keep capital positive")
         if not self.level_grid:
             raise ValueError("level_grid must be non-empty")
+        if not all(0.0 < p < 1.0 for p in self.level_grid):
+            raise ValueError(f"levels must be in (0, 1), got {list(self.level_grid)}")
+        if self.n_basis < 4:
+            raise ValueError("n_basis must be >= 4")
         self.level_grid = tuple(sorted(self.level_grid))
 
 
@@ -183,24 +187,46 @@ class LevelSelection:
     scores: dict          # level -> terminal wealth
     results: dict         # level -> GameResult
     failures: dict        # level -> reason the level was skipped
+    fits: dict            # level -> PotModel, or the message its fit raised
+
+
+def fit_levels(target: UnivariateTarget, cfg: GameConfig) -> dict:
+    """Fit every grid level once: level -> PotModel, or the message of the
+    ValueError or LinAlgError its fit raised.
+
+    A fit does not depend on K, so one set serves the games of every K.
+    """
+    fits: dict = {}
+    for p in cfg.level_grid:
+        try:
+            fits[p] = potmodel.fit_pot_model(target, p, n_basis=cfg.n_basis)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fits[p] = str(exc)
+    return fits
 
 
 def select_level(
-    target: UnivariateTarget, cfg: GameConfig
+    target: UnivariateTarget, cfg: GameConfig, fits: Optional[dict] = None
 ) -> LevelSelection:
     """Score every grid level by terminal wealth and pick the minimizer.
 
-    Each level gets a full model fit and one game with a seed derived from
-    (cfg.seed, level).  A level with fewer exceedances than a Q-Q report
-    needs is a failure.  Levels above cfg.max_level are scored but never
-    selected; ties go to the larger level.
+    Each level's model comes from ``fits`` (``fit_levels`` when None) and
+    plays one game with a seed derived from (cfg.seed, level).  A level
+    whose fit failed, or with fewer exceedances than a Q-Q report needs, is
+    a failure.  Levels above cfg.max_level are scored but never selected;
+    ties go to the larger level.
     """
+    if fits is None:
+        fits = fit_levels(target, cfg)
     scores: dict = {}
     results: dict = {}
     failures: dict = {}
     for p in cfg.level_grid:
+        model = fits[p]
+        if isinstance(model, str):
+            failures[p] = model
+            continue
         try:
-            model = potmodel.fit_pot_model(target, p, n_basis=cfg.n_basis)
             y_obs = potmodel.observed_exceedance_values(target, model)
             result = play_game(y_obs, model, cfg, seed=level_seed(cfg.seed, p))
             if model.day_pool.size < potmodel.MIN_QQ_VALUES:
@@ -220,7 +246,7 @@ def select_level(
     # min score, ties broken toward the larger level
     best = min(selectable, key=lambda p: (scores[p], -p))
     return LevelSelection(p_star=best, scores=scores, results=results,
-                          failures=failures)
+                          failures=failures, fits=fits)
 
 
 @dataclass

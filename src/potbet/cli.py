@@ -31,7 +31,7 @@ class PipelineConfig:
 
     data_paths: list = field(default_factory=list)
     synth: dict = None                 # SynthSpec fields; used when data_paths is empty
-    targets: list = field(default_factory=lambda: ["T1", "T2", "T3"])
+    targets: list = field(default_factory=lambda: list(reduce_mod.TARGET_IDS))
     seed: int = 0
     k_list: list = field(default_factory=lambda: [3, 5])
     level_grid: list = field(default_factory=lambda: list(betting.DEFAULT_LEVEL_GRID))
@@ -48,13 +48,15 @@ class PipelineConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if not self.level_grid:
-            raise ValueError("level_grid must be non-empty")
         if not self.k_list:
             raise ValueError("k_list must be non-empty")
-        unknown = [t for t in self.targets if t not in ("T1", "T2", "T3")]
+        unknown = [t for t in self.targets if t not in reduce_mod.TARGET_IDS]
         if unknown:
             raise ValueError(f"unknown targets: {unknown}")
+        # the stage configs check their own values, before any target runs
+        for k in self.k_list:
+            self.game_config(k)
+        self.estimate_config()
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -98,12 +100,12 @@ class PipelineConfig:
 
 
 def _comment(cfg: PipelineConfig) -> str:
-    return f"# seed={cfg.seed} config_hash={cfg.config_hash()}\n"
+    return f"seed={cfg.seed} config_hash={cfg.config_hash()}"
 
 
 def _write_csv(path, cfg: PipelineConfig, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_comment(cfg))
+        fh.write(f"# {_comment(cfg)}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
@@ -113,30 +115,59 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_data(cfg: PipelineConfig) -> ingest.Dataset:
+SCORES_HEADER = "target_id,K,p,terminal_wealth,rejected,rejection_round,seed"
+ANSWER_HEADER = "target_id,point,ci_lo,ci_hi,confidence_achieved,lambda,N,seed"
+
+
+def _open(cfg: PipelineConfig):
+    """Load the config's data and create its output directory."""
     if cfg.data_paths:
-        return ingest.load_dataset(cfg.data_paths)
-    if cfg.synth is None:
+        data = ingest.load_dataset(cfg.data_paths)
+    elif cfg.synth is None:
         raise ValueError("config needs data_paths or a synth spec")
-    synth = dict(cfg.synth)
-    synth.setdefault("seed", cfg.seed)
-    return ingest.generate_synthetic(ingest.SynthSpec(**synth))
+    else:
+        synth = {"seed": cfg.seed, **cfg.synth}
+        data = ingest.generate_synthetic(ingest.SynthSpec(**synth))
+    outdir = Path(cfg.out_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return data, outdir
 
 
-def _score_rows(cfg, target_id, k, selection):
-    alpha = cfg.alpha
-    for p in sorted(selection.scores):
-        res = selection.results[p]
-        rejected = betting.ville_rejects(res, alpha)
-        rr = res.rejection_round if res.rejection_round is not None else ""
-        yield (target_id, k, p, _fmt(res.terminal_wealth), rejected, rr, cfg.seed)
-
-
-def _emit_plot_data(outdir, cfg, target, model, exc, scale):
+def _select(cfg, outdir, target, k, fits=None) -> betting.LevelSelection:
+    """Select stage: play every level's game at K = k and write the scores."""
+    sel = betting.select_level(target, cfg.game_config(k), fits)
     tid = target.target_id
+    rows = ((tid, k, p, _fmt(res.terminal_wealth), betting.ville_rejects(res, cfg.alpha),
+             "" if res.rejection_round is None else res.rejection_round, cfg.seed)
+            for p, res in sorted(sel.results.items()))
+    _write_csv(outdir / f"scores_{tid}_K{k}.csv", cfg, SCORES_HEADER, rows)
+    return sel
+
+
+def _write_model(outdir, model) -> Path:
+    """Fit stage output: the model's JSON file."""
+    path = outdir / f"model_{model.target_id}.json"
+    path.write_text(model.to_json() + "\n")
+    return path
+
+
+def _estimate(cfg, target, spec, model, observed):
+    """Estimate stage: the frequency estimate and its answer.csv row."""
+    est = estimate.estimate_frequency(
+        model, spec, observed, cfg.estimate_config(),
+        body_rate=estimate.body_event_rate(target, model, spec))
+    return est, (spec.target_id, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
+                 _fmt(est.achieved_coverage), _fmt(est.lam), cfg.n_replications, cfg.seed)
+
+
+def _emit_plot_data(outdir, cfg, target, model):
+    """Report stage: seasonal, adjusted, Q-Q and (paired targets) angular plot data."""
+    tid = target.target_id
+    scale = model.scale
     grid = np.arange(1, 366)
     _write_csv(outdir / f"seasonal_{tid}.csv", cfg, "day_of_year,scale",
                ((int(d), _fmt(v)) for d, v in zip(grid, scale(grid))))
+    exc = potmodel.extract_exceedances(target, model.p)
     adj = potmodel.adjust(exc, scale)
     _write_csv(outdir / f"adjusted_{tid}.csv", cfg, "day_of_year,adjusted_excess",
                ((int(d), _fmt(v)) for d, v in zip(exc.days, adj.values)))
@@ -167,9 +198,7 @@ def _emit_poisson_plot(outdir, cfg, tid, est):
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Full pipeline for every configured target; returns per-target summaries."""
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    data = _load_data(cfg)
+    data, outdir = _open(cfg)
     report = {}
     errors = {}
     answer_rows = []
@@ -177,36 +206,21 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
         try:
             spec = reduce_mod.TargetSpec.canonical(tid)
             target = reduce_mod.reduce_target(data, spec)
-            selection = None
-            for k in cfg.k_list:
-                sel = betting.select_level(target, cfg.game_config(k))
-                _write_csv(
-                    outdir / f"scores_{tid}_K{k}.csv", cfg,
-                    "target_id,K,p,terminal_wealth,rejected,rejection_round,seed",
-                    _score_rows(cfg, tid, k, sel),
-                )
-                if selection is None:
-                    selection = sel  # first K in the list decides the level
-            p_star = selection.p_star
-            model = potmodel.fit_pot_model(target, p_star, n_basis=cfg.n_basis)
-            (outdir / f"model_{tid}.json").write_text(model.to_json() + "\n")
+            # the first K in the list decides the level; every K plays on its fits
+            selection = _select(cfg, outdir, target, cfg.k_list[0])
+            for k in cfg.k_list[1:]:
+                _select(cfg, outdir, target, k, selection.fits)
+            model = selection.fits[selection.p_star]
+            _write_model(outdir, model)
             observed = reduce_mod.count_events(target, spec)
-            est = estimate.estimate_frequency(
-                model, spec, observed, cfg.estimate_config(),
-                body_rate=estimate.body_event_rate(target, model, spec))
+            est, row = _estimate(cfg, target, spec, model, observed)
             if cfg.emit_plot_data:
-                exc = potmodel.extract_exceedances(target, p_star,
-                                                   use_aux=target.has_aux)
-                _emit_plot_data(outdir, cfg, target, model, exc, model.scale)
+                _emit_plot_data(outdir, cfg, target, model)
                 _emit_poisson_plot(outdir, cfg, tid, est)
             # answered only once every output of the target succeeded
-            answer_rows.append((
-                tid, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
-                _fmt(est.achieved_coverage), _fmt(est.lam),
-                cfg.n_replications, cfg.seed,
-            ))
+            answer_rows.append(row)
             report[tid] = {
-                "p_star": p_star,
+                "p_star": selection.p_star,
                 "scores": selection.scores,
                 "observed_count": observed,
                 "point": est.point,
@@ -216,37 +230,49 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             # a domain failure of one target; the remaining targets still run,
             # and anything else is a programming error that must surface
             errors[tid] = f"{type(exc).__name__}: {exc}"
-    _write_csv(
-        outdir / "answer.csv", cfg,
-        "target_id,point,ci_lo,ci_hi,confidence_achieved,lambda,N,seed",
-        answer_rows,
-    )
+    _write_csv(outdir / "answer.csv", cfg, ANSWER_HEADER, answer_rows)
     report["errors"] = errors
     return report
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _add_common(sp):
+def _add_common(sp, data=True):
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None, help="JSON config file")
+    if data:
+        sp.add_argument("--data", nargs="+")
 
 
 def _build_config(args, **overrides) -> PipelineConfig:
-    if args.config:
-        cfg = PipelineConfig.from_file(args.config)
-    else:
-        cfg = PipelineConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
+    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    overrides.update(seed=args.seed, out_dir=args.out,
+                     data_paths=getattr(args, "data", None))
     for key, val in overrides.items():
         if val is not None:
             setattr(cfg, key, val)
     cfg.__post_init__()
     return cfg
+
+
+def _prologue(args):
+    """Config, data and output directory of a stage subcommand."""
+    cfg = _build_config(args)
+    return (cfg, *_open(cfg))
+
+
+def _model_prologue(args):
+    """Config, output directory, model, spec and target of a model subcommand;
+    the model must be of the kind fit_pot_model gives its target."""
+    cfg, data, outdir = _prologue(args)
+    model = potmodel.PotModel.from_json(Path(args.model).read_text())
+    spec = reduce_mod.TargetSpec.canonical(model.target_id)
+    target = reduce_mod.reduce_target(data, spec)
+    kind = potmodel.model_kind(target)
+    if model.kind != kind:
+        raise ValueError(f"a {spec.target_id} model must be {kind!r}, got {model.kind!r}")
+    return cfg, outdir, model, spec, target
 
 
 def _cmd_synth(args) -> int:
@@ -270,102 +296,57 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None)
-    data = _load_data(cfg)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    cfg, data, outdir = _prologue(args)
     for tid in args.target or cfg.targets:
         spec = reduce_mod.TargetSpec.canonical(tid)
         target = reduce_mod.reduce_target(data, spec)
         path = outdir / f"target_{tid}.csv"
-        reduce_mod.write_target_csv(
-            target, path,
-            header_comment=f"seed={cfg.seed} config_hash={cfg.config_hash()}",
-        )
+        reduce_mod.write_target_csv(target, path, header_comment=_comment(cfg))
         print(f"{path} events={reduce_mod.count_events(target, spec)}")
     return 0
 
 
 def _cmd_fit(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None)
+    cfg, data, outdir = _prologue(args)
     if args.p > cfg.max_level:
         print(f"warning: p={args.p} exceeds max selectable level {cfg.max_level}",
               file=sys.stderr)
-    data = _load_data(cfg)
-    spec = reduce_mod.TargetSpec.canonical(args.target)
-    target = reduce_mod.reduce_target(data, spec)
+    target = reduce_mod.reduce_target(data, reduce_mod.TargetSpec.canonical(args.target))
     model = potmodel.fit_pot_model(target, args.p, n_basis=cfg.n_basis)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / f"model_{args.target}.json"
-    path.write_text(model.to_json() + "\n")
-    print(path)
+    print(_write_model(outdir, model))
     return 0
 
 
 def _cmd_select(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None)
-    data = _load_data(cfg)
-    spec = reduce_mod.TargetSpec.canonical(args.target)
-    target = reduce_mod.reduce_target(data, spec)
-    k = args.K if args.K is not None else cfg.k_list[0]
-    sel = betting.select_level(target, cfg.game_config(k))
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        outdir / f"scores_{args.target}_K{k}.csv", cfg,
-        "target_id,K,p,terminal_wealth,rejected,rejection_round,seed",
-        _score_rows(cfg, args.target, k, sel),
-    )
+    cfg, data, outdir = _prologue(args)
+    target = reduce_mod.reduce_target(data, reduce_mod.TargetSpec.canonical(args.target))
+    sel = _select(cfg, outdir, target, args.K if args.K is not None else cfg.k_list[0])
     print(f"p_star = {sel.p_star}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None)
-    model = potmodel.PotModel.from_json(Path(args.model).read_text())
+    cfg, outdir, model, spec, target = _model_prologue(args)
     if args.p is not None and not math.isclose(args.p, model.p):
-        print(f"error: model fitted at p={model.p}, requested p={args.p}",
-              file=sys.stderr)
-        return 2
-    spec = reduce_mod.TargetSpec.canonical(model.target_id)
-    target = reduce_mod.reduce_target(_load_data(cfg), spec)
-    if args.observed_count is not None:
-        observed = args.observed_count
-    else:
+        raise ValueError(f"model fitted at p={model.p}, requested p={args.p}")
+    observed = args.observed_count
+    if observed is None:
         observed = reduce_mod.count_events(target, spec)
-    est = estimate.estimate_frequency(
-        model, spec, observed, cfg.estimate_config(),
-        body_rate=estimate.body_event_rate(target, model, spec))
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        outdir / "answer.csv", cfg,
-        "target_id,point,ci_lo,ci_hi,confidence_achieved,lambda,N,seed",
-        [(model.target_id, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
-          _fmt(est.achieved_coverage), _fmt(est.lam), cfg.n_replications, cfg.seed)],
-    )
+    est, row = _estimate(cfg, target, spec, model, observed)
+    _write_csv(outdir / "answer.csv", cfg, ANSWER_HEADER, [row])
     print(f"{model.target_id}: point={est.point} ci=[{est.ci_lo}, {est.ci_hi}]")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None)
-    data = _load_data(cfg)
-    model = potmodel.PotModel.from_json(Path(args.model).read_text())
-    spec = reduce_mod.TargetSpec.canonical(model.target_id)
-    target = reduce_mod.reduce_target(data, spec)
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    exc = potmodel.extract_exceedances(target, model.p, use_aux=target.has_aux)
-    _emit_plot_data(outdir, cfg, target, model, exc, model.scale)
+    cfg, outdir, model, spec, target = _model_prologue(args)
+    _emit_plot_data(outdir, cfg, target, model)
     print(outdir)
     return 0
 
 
 def _cmd_run(args) -> int:
-    cfg = _build_config(args, data_paths=args.data or None,
-                        targets=args.target or None)
+    cfg = _build_config(args, targets=args.target)
     report = run_pipeline(cfg)
     errors = report.pop("errors")
     for tid, info in report.items():
@@ -386,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("synth", help="generate synthetic run files")
-    _add_common(sp)
+    _add_common(sp, data=False)
     sp.add_argument("--runs", type=int)
     sp.add_argument("--years", type=int)
     sp.add_argument("--amplitude", type=float)
@@ -395,27 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", help="reduce runs to univariate target series")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
-    sp.add_argument("--target", action="append", choices=["T1", "T2", "T3"])
+    sp.add_argument("--target", action="append", choices=reduce_mod.TARGET_IDS)
     sp.set_defaults(func=_cmd_reduce)
 
     sp = sub.add_parser("fit", help="fit a POT model at a given level")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
-    sp.add_argument("--target", required=True, choices=["T1", "T2", "T3"])
+    sp.add_argument("--target", required=True, choices=reduce_mod.TARGET_IDS)
     sp.add_argument("--p", type=float, required=True)
     sp.set_defaults(func=_cmd_fit)
 
     sp = sub.add_parser("select", help="score the level grid and pick p*")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
-    sp.add_argument("--target", required=True, choices=["T1", "T2", "T3"])
+    sp.add_argument("--target", required=True, choices=reduce_mod.TARGET_IDS)
     sp.add_argument("--K", type=int)
     sp.set_defaults(func=_cmd_select)
 
     sp = sub.add_parser("estimate", help="frequency estimate from a fitted model")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
     sp.add_argument("--model", required=True)
     sp.add_argument("--p", type=float)
     sp.add_argument("--observed-count", type=int, dest="observed_count")
@@ -423,14 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="emit plot data for a fitted model")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
     sp.add_argument("--model", required=True)
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("run", help="full pipeline for all targets")
     _add_common(sp)
-    sp.add_argument("--data", nargs="+")
-    sp.add_argument("--target", action="append", choices=["T1", "T2", "T3"])
+    sp.add_argument("--target", action="append", choices=reduce_mod.TARGET_IDS)
     sp.set_defaults(func=_cmd_run)
 
     return parser

@@ -41,6 +41,8 @@ class EstimateConfig:
             raise ValueError("confidence must be in (0.5, 1)")
         if not 0 <= self.given_runs < self.total_runs:
             raise ValueError("need 0 <= given_runs < total_runs")
+        if self.years < 1:
+            raise ValueError("years must be >= 1")
 
     @property
     def unseen_runs(self) -> int:
@@ -143,14 +145,13 @@ def exceedance_probability(model: PotModel, threshold: float) -> float:
 
 
 def body_event_rate(target: UnivariateTarget, model: PotModel, spec: TargetSpec) -> float:
-    """Share of the target's body days (series <= q) with y at or above the threshold.
+    """Share of the target's body days (tail series <= q) with y at or above
+    the threshold.
 
-    The series is the one the model thresholds: the norm for paired targets,
-    y otherwise.  The tail model never sees these days, so their events are
-    counted at this observed rate.
+    The tail model never sees these days, so their events are counted at
+    this observed rate.
     """
-    series = target.ybar if target.has_aux else target.y
-    body = series <= model.q
+    body = target.tail_series <= model.q
     n_body = int(np.sum(body))
     if n_body == 0:
         return 0.0

@@ -55,23 +55,16 @@ class ExceedanceSet:
         return len(self.excess)
 
 
-def extract_exceedances(
-    target: UnivariateTarget, p: float, use_aux: bool = False
-) -> ExceedanceSet:
-    """Collect strict exceedances above the empirical p-quantile.
+def extract_exceedances(target: UnivariateTarget, p: float) -> ExceedanceSet:
+    """Collect strict exceedances of the target's tail series above its
+    empirical p-quantile.
 
-    With use_aux the norm series is thresholded instead of y; the paired
-    targets require the threshold to stay below sqrt(50) so the event
-    probability factorizes through the norm exceedance.
+    Paired targets threshold the norm series, which must stay below sqrt(50)
+    so the event probability factorizes through the norm exceedance.
     """
-    if use_aux:
-        if not target.has_aux:
-            raise ValueError("use_aux requires a paired target")
-        series = target.ybar
-    else:
-        series = target.y
+    series = target.tail_series
     q = empirical_quantile(series, p)
-    if use_aux and q >= SQRT50:
+    if target.has_aux and q >= SQRT50:
         raise LevelTooHighError(
             f"aux quantile {q:.4f} >= sqrt(50); choose a lower level than p={p}"
         )
@@ -272,6 +265,11 @@ class PotModel:
             raise ValueError(f"model JSON lacks the key {exc}") from None
 
 
+def model_kind(target: UnivariateTarget) -> str:
+    """The kind of model a target is fitted with: angular for pairs."""
+    return "angular" if target.has_aux else "direct"
+
+
 def fit_pot_model(
     target: UnivariateTarget,
     p: float,
@@ -282,8 +280,7 @@ def fit_pot_model(
     Paired targets are fitted on the norm series and sampled through the
     angular decomposition; everything else is fitted on y directly.
     """
-    use_aux = target.has_aux
-    exc = extract_exceedances(target, p, use_aux=use_aux)
+    exc = extract_exceedances(target, p)
     scale = fit_seasonal_scale(exc, n_basis=n_basis)
     return PotModel(
         target_id=target.target_id,
@@ -291,7 +288,7 @@ def fit_pot_model(
         q=exc.q,
         scale=scale,
         day_pool=exc.days,
-        kind="angular" if use_aux else "direct",
+        kind=model_kind(target),
     )
 
 
@@ -363,14 +360,7 @@ def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:
-    """Observed sample at the model's exceedance level.
-
-    Direct models: the y values strictly above q.  Angular models: the y
-    values at the times where the norm series exceeds q (the quantity the
-    model's samples emulate).
-    """
-    if model.kind == "angular":
-        if not target.has_aux:
-            raise ValueError("angular model requires a paired target")
-        return target.y[target.ybar > model.q]
-    return target.y[target.y > model.q]
+    """Observed sample at the model's exceedance level: the y values where
+    the tail series exceeds q (for paired targets, the quantity the angular
+    model's samples emulate)."""
+    return target.y[target.tail_series > model.q]

@@ -21,6 +21,7 @@ _CANONICAL = {
     "T2": (6, 5.7, False),
     "T3": (3, 5.0, True),
 }
+TARGET_IDS = tuple(_CANONICAL)
 
 
 class InsufficientDataError(ValueError):
@@ -53,13 +54,11 @@ class TargetSpec:
 
     @classmethod
     def canonical(cls, target_id: str) -> "TargetSpec":
+        if target_id not in _CANONICAL:
+            raise ValueError(f"unknown target {target_id!r}; expected one of {TARGET_IDS}")
         rank, thr, consec = _CANONICAL[target_id]
         return cls(target_id=target_id, rank=rank, event_threshold=thr,
                    consecutive=consec)
-
-
-def canonical_targets() -> list[TargetSpec]:
-    return [TargetSpec.canonical(t) for t in ("T1", "T2", "T3")]
 
 
 @dataclass
@@ -76,6 +75,11 @@ class UnivariateTarget:
     @property
     def has_aux(self) -> bool:
         return self.ybar is not None
+
+    @property
+    def tail_series(self) -> np.ndarray:
+        """The series the tail model thresholds: the pair's norm, else y."""
+        return self.ybar if self.has_aux else self.y
 
 
 def _rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:

@@ -191,6 +191,25 @@ class TestEstimate:
         assert err.startswith("error:") and "'floor'" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["estimate", "report"])
+    @pytest.mark.parametrize("key,value,message", [
+        ("target_id", "T9", "unknown target 'T9'"),
+        ("kind", "angular", "a T2 model must be 'direct', got 'angular'"),
+        ("target_id", "T3", "a T3 model must be 'angular', got 'direct'"),
+    ])
+    def test_bad_target_or_kind_exits_2(self, tmp_path, capsys, command, key,
+                                         value, message):
+        cfg, model = self.fitted_model(tmp_path)
+        obj = json.loads(model.read_text())
+        obj[key] = value
+        model.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc = main([command, "--config", str(cfg), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and message in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("day", [0, 366])
     def test_pool_day_outside_year_exits_2(self, tmp_path, capsys, day):
         cfg, model = self.fitted_model(tmp_path)
@@ -296,6 +315,46 @@ class TestRunPipeline:
         lines = (tmp_path / "out" / "answer.csv").read_text().splitlines()
         assert lines[1].startswith("target_id,") and len(lines) == 2
 
+    def test_each_level_fitted_once_per_target(self, tmp_path, monkeypatch):
+        fitted = []
+        real = potmodel.fit_pot_model
+
+        def counting(target, p, **kwargs):
+            fitted.append((target.target_id, p))
+            return real(target, p, **kwargs)
+
+        monkeypatch.setattr(potmodel, "fit_pot_model", counting)
+        cfg = PipelineConfig.from_file(
+            small_config(tmp_path, targets=["T2", "T3"], k_list=[3, 5]))
+        assert run_pipeline(cfg)["errors"] == {}
+        assert len(fitted) == len(cfg.targets) * len(cfg.level_grid)
+        assert sorted(fitted) == [(t, p) for t in cfg.targets for p in cfg.level_grid]
+
+    def test_stage_commands_write_the_bytes_of_run(self, tmp_path):
+        cfg = small_config(tmp_path, targets=["T2", "T3"], k_list=[3, 5])
+        assert main(["run", "--config", str(cfg)]) == 0
+        ran = read_all(tmp_path / "out")
+        answer = ran["answer.csv"].decode().splitlines()
+        for tid in ("T2", "T3"):
+            out = tmp_path / f"stage_{tid}"
+            common = ["--config", str(cfg), "--out", str(out)]
+            for k in ("3", "5"):
+                assert main(["select", *common, "--target", tid, "--K", k]) == 0
+            p_star = str(json.loads(ran[f"model_{tid}.json"])["p"])
+            assert main(["fit", *common, "--target", tid, "--p", p_star]) == 0
+            model = str(out / f"model_{tid}.json")
+            assert main(["estimate", *common, "--model", model]) == 0
+            assert main(["report", *common, "--model", model]) == 0
+            staged = read_all(out)
+            plots = ["seasonal", "adjusted", "qq"] + ["angular"] * (tid == "T3")
+            assert sorted(staged) == sorted(
+                ["answer.csv", f"model_{tid}.json", f"scores_{tid}_K3.csv",
+                 f"scores_{tid}_K5.csv"] + [f"{name}_{tid}.csv" for name in plots])
+            row = [line for line in answer if line.startswith(f"{tid},")]
+            assert staged.pop("answer.csv").decode().splitlines() == answer[:2] + row
+            for name, data in staged.items():
+                assert data == ran[name], name
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("broken stage")
@@ -326,6 +385,16 @@ class TestConfigAndErrors:
         ({"seed": "7"}, "config key 'seed' must be int, got '7'"),
         ({"emit_plot_data": 1}, "config key 'emit_plot_data' must be bool"),
         ({"confidence": True}, "config key 'confidence' must be float"),
+        ({"k_list": [1]}, "K must be >= 2"),
+        ({"alpha": 2}, "alpha must be in (0, 1)"),
+        ({"clip": 3}, "clip must be in (0, 2)"),
+        ({"n_replications": 10}, "n_replications must be >= 100"),
+        ({"confidence": 0.3}, "confidence must be in (0.5, 1)"),
+        ({"given_runs": 60}, "need 0 <= given_runs < total_runs"),
+        ({"total_runs": 0}, "need 0 <= given_runs < total_runs"),
+        ({"level_grid": [1.5]}, "levels must be in (0, 1), got [1.5]"),
+        ({"n_basis": 2}, "n_basis must be >= 4"),
+        ({"years": 0}, "years must be >= 1"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)
@@ -334,10 +403,11 @@ class TestConfigAndErrors:
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()  # rejected before any target ran
 
     def test_config_accepts_int_for_float_and_null_synth(self, tmp_path):
-        cfg = PipelineConfig.from_file(small_config(tmp_path, alpha=1, synth=None))
-        assert cfg.alpha == 1 and cfg.synth is None
+        cfg = PipelineConfig.from_file(small_config(tmp_path, clip=1, synth=None))
+        assert cfg.clip == 1 and cfg.synth is None
 
     @given(st.text(min_size=1, max_size=8).filter(lambda k: k not in CONFIG_FIELDS),
            JSON_VALUES)

@@ -100,7 +100,7 @@ class TestExtractExceedances:
         t = UnivariateTarget(target_id="T3", y=v / 2, d=np.arange(1000) % 365 + 1,
                              y31=v, y32=v, ybar=v)
         with pytest.raises(LevelTooHighError):
-            extract_exceedances(t, 0.5, use_aux=True)
+            extract_exceedances(t, 0.5)
 
     def test_day_labels_follow_exceedances(self):
         rng = np.random.default_rng(9)
