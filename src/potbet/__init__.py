@@ -22,6 +22,7 @@ from .reduce import (
     UnivariateTarget,
     angular_diagnostic,
     count_events,
+    empirical_quantile,
     reduce_target,
 )
 from .potmodel import (
@@ -31,7 +32,6 @@ from .potmodel import (
     PotModel,
     QQReport,
     adjust,
-    empirical_quantile,
     extract_exceedances,
     fit_pot_model,
     fit_seasonal_scale,
@@ -52,7 +52,6 @@ from .betting import (
     run_rounds,
     select_level,
     top_spacings,
-    ville_rejects,
 )
 from .estimate import (
     EstimateConfig,

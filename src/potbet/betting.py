@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import potmodel
-from .reduce import InsufficientDataError, UnivariateTarget
+from .reduce import MIN_QQ_VALUES, InsufficientDataError, UnivariateTarget
 
 DEFAULT_LEVEL_GRID = (0.9, 0.99, 0.995, 0.999, 0.9992, 0.9995, 0.9997, 0.9999)
 
@@ -98,9 +98,7 @@ class GameResult:
 
     terminal_wealth: float
     wealth_path: np.ndarray            # W_k for k = 0..K-1
-    rejection_round: Optional[int]     # first k with W_k >= 1/alpha, if any
-    pairs: np.ndarray                  # (K, 2) observed/model round values, played order
-    raw_diffs: np.ndarray              # unclipped model - observed differences per round
+    rejection_round: Optional[int]     # first k with W_k >= 1/alpha (Ville), if any
 
 
 def top_spacings(values: np.ndarray, K: int) -> np.ndarray:
@@ -142,13 +140,8 @@ def run_rounds(
         path[k] = state.step(obs[k], mod[k])
         if rejection_round is None and path[k] >= 1.0 / alpha:
             rejection_round = k
-    return GameResult(
-        terminal_wealth=float(path[-1]),
-        wealth_path=path,
-        rejection_round=rejection_round,
-        pairs=np.column_stack([obs, mod]),
-        raw_diffs=mod - obs,
-    )
+    return GameResult(terminal_wealth=float(path[-1]), wealth_path=path,
+                      rejection_round=rejection_round)
 
 
 def play_game(
@@ -167,11 +160,6 @@ def play_game(
                                  cfg.seed if seed is None else seed)
     return run_rounds(obs_rounds, top_spacings(sample, cfg.K),
                       clip=cfg.clip, alpha=cfg.alpha)
-
-
-def ville_rejects(result: GameResult, alpha: float) -> bool:
-    """True iff the wealth path ever reaches the Ville threshold 1/alpha."""
-    return bool(np.max(result.wealth_path) >= 1.0 / alpha)
 
 
 def level_seed(seed: int, p: float) -> np.random.SeedSequence:
@@ -229,10 +217,10 @@ def select_level(
         try:
             y_obs = potmodel.observed_exceedance_values(target, model)
             result = play_game(y_obs, model, cfg, seed=level_seed(cfg.seed, p))
-            if model.day_pool.size < potmodel.MIN_QQ_VALUES:
-                # the selected level's plot data could not be reported
+            if model.day_pool.size < MIN_QQ_VALUES:
+                # the selected level's Q-Q and angular files could not be reported
                 raise InsufficientDataError(
-                    f"{model.day_pool.size} exceedances < {potmodel.MIN_QQ_VALUES}"
+                    f"{model.day_pool.size} exceedances < {MIN_QQ_VALUES}"
                     " needed for a Q-Q report")
         except (ValueError, np.linalg.LinAlgError) as exc:
             failures[p] = str(exc)

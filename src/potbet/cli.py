@@ -20,9 +20,37 @@ import numpy as np
 from . import betting, estimate, ingest, potmodel
 from . import reduce as reduce_mod
 
-# the JSON values a config field of each annotated type accepts
+# the JSON values a field of each annotated type accepts
 _JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
-               "bool": bool, "str": str}
+               "bool": bool, "str": str, "np.ndarray": list}
+# the annotated type of each element of a list field
+_ITEM_TYPES = {"k_list": "int", "level_grid": "float", "targets": "str",
+               "data_paths": "str", "spatial_loading": "float"}
+
+
+def _is_json(value, type_name: str) -> bool:
+    # a bool is an int in Python, but never a number in a config
+    expected = _JSON_TYPES[type_name]
+    return isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+
+
+def _check_json(cls, obj: dict, what: str) -> None:
+    """ValueError unless each key of obj names a field of the dataclass cls
+    and holds a JSON value of its type (null only where the default is None)."""
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for key, value in obj.items():
+        f = known[key]
+        if value is None and f.default is None:
+            continue
+        if not _is_json(value, f.type):
+            raise ValueError(f"{what} key {key!r} must be {f.type}, got {value!r}")
+        item = _ITEM_TYPES.get(key)
+        if item and not all(_is_json(v, item) for v in value):
+            raise ValueError(f"{what} key {key!r} must be a list of {item}, "
+                             f"got {value!r}")
 
 
 @dataclass
@@ -34,16 +62,16 @@ class PipelineConfig:
     targets: list = field(default_factory=lambda: list(reduce_mod.TARGET_IDS))
     seed: int = 0
     k_list: list = field(default_factory=lambda: [3, 5])
-    level_grid: list = field(default_factory=lambda: list(betting.DEFAULT_LEVEL_GRID))
-    max_level: float = 0.9997
-    alpha: float = 0.05
-    clip: float = 1.0
-    n_basis: int = potmodel.DEFAULT_N_BASIS
-    n_replications: int = 1000
-    confidence: float = 0.92
-    total_runs: int = 50
-    given_runs: int = 4
-    years: int = 165
+    level_grid: list = field(default_factory=lambda: list(betting.GameConfig.level_grid))
+    max_level: float = betting.GameConfig.max_level
+    alpha: float = betting.GameConfig.alpha
+    clip: float = betting.GameConfig.clip
+    n_basis: int = betting.GameConfig.n_basis
+    n_replications: int = estimate.EstimateConfig.n_replications
+    confidence: float = estimate.EstimateConfig.confidence
+    total_runs: int = estimate.EstimateConfig.total_runs
+    given_runs: int = estimate.EstimateConfig.given_runs
+    years: int = estimate.EstimateConfig.years
     emit_plot_data: bool = True
     out_dir: str = "."
 
@@ -57,6 +85,8 @@ class PipelineConfig:
         for k in self.k_list:
             self.game_config(k)
         self.estimate_config()
+        if self.synth is not None:
+            self.synth_spec()
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -65,17 +95,7 @@ class PipelineConfig:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError(f"config {path} must be a JSON object")
-        known = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(obj) - set(known))
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        for key, value in obj.items():
-            f = known[key]
-            if value is None and f.default is None:
-                continue
-            if not isinstance(value, _JSON_TYPES[f.type]) or (
-                    isinstance(value, bool) != (f.type == "bool")):
-                raise ValueError(f"config key {key!r} must be {f.type}, got {value!r}")
+        _check_json(cls, obj, "config")
         return cls(**obj)
 
     def config_hash(self) -> str:
@@ -97,6 +117,14 @@ class PipelineConfig:
             given_runs=self.given_runs, years=self.years,
             confidence=self.confidence, seed=self.seed,
         )
+
+    def synth_spec(self, **overrides) -> ingest.SynthSpec:
+        """The synth fields over the config's seed, then the overrides that
+        are not None; an unknown field or a wrong type is a ValueError."""
+        synth = {"seed": self.seed, **(self.synth or {}),
+                 **{k: v for k, v in overrides.items() if v is not None}}
+        _check_json(ingest.SynthSpec, synth, "synth")
+        return ingest.SynthSpec(**synth)
 
 
 def _comment(cfg: PipelineConfig) -> str:
@@ -126,8 +154,7 @@ def _open(cfg: PipelineConfig):
     elif cfg.synth is None:
         raise ValueError("config needs data_paths or a synth spec")
     else:
-        synth = {"seed": cfg.seed, **cfg.synth}
-        data = ingest.generate_synthetic(ingest.SynthSpec(**synth))
+        data = ingest.generate_synthetic(cfg.synth_spec())
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     return data, outdir
@@ -137,7 +164,7 @@ def _select(cfg, outdir, target, k, fits=None) -> betting.LevelSelection:
     """Select stage: play every level's game at K = k and write the scores."""
     sel = betting.select_level(target, cfg.game_config(k), fits)
     tid = target.target_id
-    rows = ((tid, k, p, _fmt(res.terminal_wealth), betting.ville_rejects(res, cfg.alpha),
+    rows = ((tid, k, p, _fmt(res.terminal_wealth), res.rejection_round is not None,
              "" if res.rejection_round is None else res.rejection_round, cfg.seed)
             for p, res in sorted(sel.results.items()))
     _write_csv(outdir / f"scores_{tid}_K{k}.csv", cfg, SCORES_HEADER, rows)
@@ -163,12 +190,10 @@ def _estimate(cfg, target, spec, model, observed):
 def _emit_plot_data(outdir, cfg, target, model):
     """Report stage: seasonal, adjusted, Q-Q and (paired targets) angular plot data."""
     tid = target.target_id
-    scale = model.scale
-    grid = np.arange(1, 366)
     _write_csv(outdir / f"seasonal_{tid}.csv", cfg, "day_of_year,scale",
-               ((int(d), _fmt(v)) for d, v in zip(grid, scale(grid))))
+               ((d, _fmt(v)) for d, v in enumerate(model.scale.table, start=1)))
     exc = potmodel.extract_exceedances(target, model.p)
-    adj = potmodel.adjust(exc, scale)
+    adj = potmodel.adjust(exc, model.scale)
     _write_csv(outdir / f"adjusted_{tid}.csv", cfg, "day_of_year,adjusted_excess",
                ((int(d), _fmt(v)) for d, v in zip(exc.days, adj.values)))
     qq = potmodel.qq_exponential(adj)
@@ -277,15 +302,9 @@ def _model_prologue(args):
 
 def _cmd_synth(args) -> int:
     cfg = _build_config(args)
-    synth = dict(cfg.synth or {})
-    for key, flag in (("n_runs", args.runs), ("years_per_run", args.years),
-                      ("seasonal_amplitude", args.amplitude),
-                      ("tail_scale", args.tail_scale)):
-        if flag is not None:
-            synth[key] = flag
-    synth.setdefault("seed", cfg.seed)
-    spec = ingest.SynthSpec(**synth)
-    data = ingest.generate_synthetic(spec)
+    data = ingest.generate_synthetic(cfg.synth_spec(
+        n_runs=args.runs, years_per_run=args.years,
+        seasonal_amplitude=args.amplitude, tail_scale=args.tail_scale))
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [outdir / f"run_{r.run_id:02d}.csv" for r in data.runs]
@@ -301,7 +320,10 @@ def _cmd_reduce(args) -> int:
         spec = reduce_mod.TargetSpec.canonical(tid)
         target = reduce_mod.reduce_target(data, spec)
         path = outdir / f"target_{tid}.csv"
-        reduce_mod.write_target_csv(target, path, header_comment=_comment(cfg))
+        aux = (target.y31, target.y32, target.ybar) if target.has_aux else ()
+        header = "target_id,t,day_of_year,y" + (",y31,y32,ybar" if aux else "")
+        rows = enumerate(zip(target.d, target.y, *aux), start=1)
+        _write_csv(path, cfg, header, ((tid, t, d, *map(_fmt, ys)) for t, (d, *ys) in rows))
         print(f"{path} events={reduce_mod.count_events(target, spec)}")
     return 0
 

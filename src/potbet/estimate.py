@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .ingest import DAYS_PER_YEAR
 from .potmodel import PotModel
 from .reduce import TargetSpec, UnivariateTarget
 
-DAYS_PER_YEAR = 365
 QUARTER_PI = math.pi / 4.0
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes for the angular integral
 
@@ -53,15 +53,12 @@ class EstimateConfig:
 class FrequencyEstimate:
     """Point estimate and confidence interval, both on the 1/total_runs grid."""
 
-    target_id: str
     point: float
     counts: np.ndarray
     lam: float            # mean replication count (Poisson parameter)
     ci_lo: float
     ci_hi: float
     achieved_coverage: float
-    confidence: float
-    seed: int
 
 
 def poisson_pmf(k, mu):
@@ -193,13 +190,10 @@ def estimate_frequency(
     lam = float(np.mean(counts))
     lo, hi, achieved = poisson_interval(lam, cfg.confidence)
     return FrequencyEstimate(
-        target_id=spec.target_id,
         point=lower_median(counts) / cfg.total_runs,
         counts=counts,
         lam=lam,
         ci_lo=lo / cfg.total_runs,
         ci_hi=hi / cfg.total_runs,
         achieved_coverage=achieved,
-        confidence=cfg.confidence,
-        seed=cfg.seed,
     )

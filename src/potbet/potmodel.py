@@ -15,30 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import DAYS_PER_YEAR
-from .reduce import InsufficientDataError, UnivariateTarget
+from .reduce import (MIN_QQ_VALUES, InsufficientDataError, UnivariateTarget,
+                     empirical_quantile)
 
-PERIOD = 365.0
 SQRT50 = math.sqrt(50.0)
 
 DEFAULT_N_BASIS = 10
-MIN_QQ_VALUES = 20  # the fewest adjusted exceedances a Q-Q report is made from
 
 
 class LevelTooHighError(ValueError):
     """Raised when the exceedance quantile violates a model constraint."""
-
-
-def empirical_quantile(y: np.ndarray, p: float) -> float:
-    """Ascending order statistic at index ceil(n*p) (1-based)."""
-    y = np.asarray(y)
-    if y.size == 0:
-        raise ValueError("empty input")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    # guard against ceil() flipping on float noise like 100*0.99 = 99.0000...01
-    k = int(math.ceil(y.size * p - 1e-9))
-    k = min(max(k, 1), y.size)
-    return float(np.partition(y, k - 1)[k - 1])
 
 
 @dataclass
@@ -101,8 +87,8 @@ def cyclic_design_matrix(days, n_basis: int) -> np.ndarray:
     """
     if n_basis < 4:
         raise ValueError("n_basis must be >= 4")
-    h = PERIOD / n_basis
-    x = (np.asarray(days, dtype=np.float64) - 1.0) % PERIOD
+    h = DAYS_PER_YEAR / n_basis
+    x = (np.asarray(days, dtype=np.float64) - 1.0) % DAYS_PER_YEAR
     cols = np.empty((x.size, n_basis))
     for j in range(n_basis):
         u = (x - j * h) / h

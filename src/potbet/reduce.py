@@ -22,6 +22,7 @@ _CANONICAL = {
     "T3": (3, 5.0, True),
 }
 TARGET_IDS = tuple(_CANONICAL)
+MIN_QQ_VALUES = 20  # the fewest exceedances a Q-Q or angular report is made from
 
 
 class InsufficientDataError(ValueError):
@@ -82,6 +83,19 @@ class UnivariateTarget:
         return self.ybar if self.has_aux else self.y
 
 
+def empirical_quantile(y: np.ndarray, p: float) -> float:
+    """Ascending order statistic at index ceil(n*p) (1-based)."""
+    y = np.asarray(y)
+    if y.size == 0:
+        raise ValueError("empty input")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    # guard against ceil() flipping on float noise like 100*0.99 = 99.0000...01
+    k = int(math.ceil(y.size * p - 1e-9))
+    k = min(max(k, 1), y.size)
+    return float(np.partition(y, k - 1)[k - 1])
+
+
 def _rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:
     idx = N_LOCATIONS - rank  # ascending-sorted position of the rank-th largest
     return np.partition(values, idx, axis=1)[:, idx]
@@ -93,30 +107,16 @@ def reduce_target(data: Dataset, spec: TargetSpec) -> UnivariateTarget:
     For consecutive targets, pairs (t, t+1) are formed within each run only
     and the day label is that of the pair's first day.
     """
+    stats = [_rankth_largest(run.values, spec.rank) for run in data.runs]
     if not spec.consecutive:
-        ys = []
-        ds = []
-        for run in data.runs:
-            ys.append(_rankth_largest(run.values, spec.rank))
-            ds.append(run.day_of_year)
-        return UnivariateTarget(
-            target_id=spec.target_id,
-            y=np.concatenate(ys),
-            d=np.concatenate(ds),
-        )
-
-    y31s, y32s, ds = [], [], []
-    for run in data.runs:
-        s = _rankth_largest(run.values, spec.rank)
-        y31s.append(s[:-1])
-        y32s.append(s[1:])
-        ds.append(run.day_of_year[:-1])
-    y31 = np.concatenate(y31s)
-    y32 = np.concatenate(y32s)
+        return UnivariateTarget(target_id=spec.target_id, y=np.concatenate(stats),
+                                d=data.concat_days())
+    y31 = np.concatenate([s[:-1] for s in stats])
+    y32 = np.concatenate([s[1:] for s in stats])
     return UnivariateTarget(
         target_id=spec.target_id,
         y=np.minimum(y31, y32),
-        d=np.concatenate(ds),
+        d=np.concatenate([run.day_of_year[:-1] for run in data.runs]),
         y31=y31,
         y32=y32,
         ybar=np.hypot(y31, y32),
@@ -141,16 +141,14 @@ class AngularReport:
 
 def angular_diagnostic(target: UnivariateTarget, p: float) -> AngularReport:
     """Check that pairs above the norm's p-quantile look like (sin, cos) of a uniform angle."""
-    from .potmodel import empirical_quantile
-
     if not target.has_aux:
         raise ValueError("angular diagnostic requires a paired target")
     u = empirical_quantile(target.ybar, p)
     mask = target.ybar > u
     n = int(mask.sum())
-    if n < 20:
+    if n < MIN_QQ_VALUES:
         raise InsufficientDataError(
-            f"only {n} exceedances above the {p} quantile; need >= 20"
+            f"only {n} exceedances above the {p} quantile; need >= {MIN_QQ_VALUES}"
         )
     ratio = np.clip(target.y31[mask] / target.ybar[mask], 0.0, 1.0)
     angles = np.arcsin(ratio)
@@ -164,24 +162,3 @@ def angular_diagnostic(target: UnivariateTarget, p: float) -> AngularReport:
         angles=angles, hist_counts=hist, bin_edges=edges,
         ks_distance=ks, n_exceedances=n,
     )
-
-
-def write_target_csv(target: UnivariateTarget, path, header_comment: str = "") -> None:
-    """Export a reduced series as CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        if target.has_aux:
-            fh.write("target_id,t,day_of_year,y,y31,y32,ybar\n")
-            for i in range(len(target.y)):
-                fh.write(
-                    f"{target.target_id},{i + 1},{target.d[i]},"
-                    f"{float(target.y[i])!r},{float(target.y31[i])!r},"
-                    f"{float(target.y32[i])!r},{float(target.ybar[i])!r}\n"
-                )
-        else:
-            fh.write("target_id,t,day_of_year,y\n")
-            for i in range(len(target.y)):
-                fh.write(
-                    f"{target.target_id},{i + 1},{target.d[i]},{float(target.y[i])!r}\n"
-                )

@@ -19,9 +19,9 @@ from potbet import (
     reduce_target,
     run_rounds,
     sample_model,
+    sample_top,
     select_level,
     top_spacings,
-    ville_rejects,
 )
 from potbet.betting import GameInfeasibleError, level_seed
 from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
@@ -89,9 +89,14 @@ class TestBettingState:
 
 class TestRunRounds:
     def test_plays_from_kth_largest_to_maximum(self):
-        res = run_rounds([1.0, 2.0, 3.0], [1.5, 2.0, 2.5], clip=1.0, alpha=0.05)
-        assert np.array_equal(res.pairs[:, 0], [1.0, 2.0, 3.0])
-        assert res.raw_diffs == pytest.approx([0.5, 0.0, -0.5])
+        # rounds are played in the order given: diffs 0.5, 0.5, -1, one step each
+        obs, mod = [1.0, 2.0, 3.0], [1.5, 2.5, 2.0]
+        res = run_rounds(obs, mod, clip=1.0, alpha=0.05)
+        state = BettingState()
+        assert np.array_equal(res.wealth_path, [state.step(o, m) for o, m in zip(obs, mod)])
+        assert res.wealth_path == pytest.approx([1.0, 1.0625, 0.8125])
+        backwards = run_rounds(obs[::-1], mod[::-1], clip=1.0, alpha=0.05)
+        assert backwards.wealth_path == pytest.approx([1.0, 0.875, 0.8125])
 
     def test_identical_sides_terminal_wealth_one(self):
         res = run_rounds([4.0, 5.0, 9.0], [4.0, 5.0, 9.0], clip=1.0, alpha=0.05)
@@ -133,12 +138,20 @@ class TestTopSpacings:
 class TestVille:
     def test_flat_path_never_rejects(self):
         res = run_rounds([1.0, 2.0], [1.0, 2.0], clip=1.0, alpha=0.05)
-        assert not ville_rejects(res, 0.05)
+        assert res.rejection_round is None
 
     def test_rejection_at_threshold_twenty(self):
-        res = run_rounds([1.0, 2.0], [1.0, 2.0], clip=1.0, alpha=0.05)
-        res.wealth_path = np.array([20.0, 1.0])
-        assert ville_rejects(res, 0.05)
+        # clipped diffs of 1 every round: W crosses 1/alpha = 20 in round 9
+        res = run_rounds(np.zeros(20), np.ones(20), clip=1.0, alpha=0.05)
+        assert res.rejection_round == 9
+        assert res.wealth_path[8] < 20.0 <= res.wealth_path[9]
+
+    def test_wealth_equal_to_the_threshold_rejects(self):
+        # round 0's wealth is exactly 1: it rejects at 1/alpha = 1, not above
+        flat = ([1.0, 2.0], [1.0, 2.0])
+        assert run_rounds(*flat, clip=1.0, alpha=1.0).rejection_round == 0
+        alpha = np.nextafter(1.0, 0.0)  # 1/alpha just above 1
+        assert run_rounds(*flat, clip=1.0, alpha=alpha).rejection_round is None
 
 
 def small_target(seed=0, years=20):
@@ -161,8 +174,12 @@ class TestPlayGame:
         with pytest.raises(GameInfeasibleError, match="K\\+1=6"):
             play_game(np.arange(5.0), model, cfg)
         res = play_game(np.arange(6.0), model, cfg)
-        assert res.pairs.shape == (5, 2)
-        assert res.pairs[:, 0] == pytest.approx([5.0, 4.0, 3.0, 2.0, 1.0])
+        obs = top_spacings(np.arange(6.0), 5)
+        assert obs == pytest.approx([5.0, 4.0, 3.0, 2.0, 1.0])
+        mod = top_spacings(sample_top(model, 6, 6, cfg.seed), 5)
+        expected = run_rounds(obs, mod, clip=cfg.clip, alpha=cfg.alpha)
+        assert len(res.wealth_path) == 5
+        assert np.array_equal(res.wealth_path, expected.wealth_path)
 
     def test_seed_determinism(self):
         target = small_target()
@@ -318,7 +335,7 @@ def reference_calibration(model, cfg, trials, n):
                             top_spacings(sample_model(model, n, s_mod), cfg.K),
                             clip=cfg.clip, alpha=cfg.alpha)
         wealths[i] = result.terminal_wealth
-        rejections += ville_rejects(result, cfg.alpha)
+        rejections += result.rejection_round is not None
     return wealths, rejections / trials
 
 

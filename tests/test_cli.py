@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,20 @@ class TestReduceAndFit:
         assert first.startswith("#") and "seed=42" in first
         assert "events=" in capsys.readouterr().out
 
+    def test_reduce_writes_every_row_of_the_target(self, tmp_path):
+        cfg = small_config(tmp_path)
+        assert main(["reduce", "--config", str(cfg), "--target", "T2", "--target", "T3"]) == 0
+        data = potbet.generate_synthetic(potbet.SynthSpec(
+            n_runs=4, years_per_run=25, seed=42, tail_scale=1.0, seasonal_amplitude=0.5))
+        comment = f"# seed=42 config_hash={PipelineConfig.from_file(cfg).config_hash()}"
+        for tid, aux in (("T2", ""), ("T3", ",y31,y32,ybar")):
+            target = potbet.reduce_target(data, potbet.TargetSpec.canonical(tid))
+            cols = [target.y] + ([target.y31, target.y32, target.ybar] if aux else [])
+            rows = [f"{tid},{i + 1},{target.d[i]}," + ",".join(repr(float(c[i])) for c in cols)
+                    for i in range(len(target.y))]
+            lines = (tmp_path / "out" / f"target_{tid}.csv").read_text().splitlines()
+            assert lines == [comment, "target_id,t,day_of_year,y" + aux] + rows
+
     def test_fit_writes_model_json(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         rc = main(["fit", "--config", str(cfg), "--target", "T2",
@@ -150,6 +165,17 @@ class TestSelect:
         assert lines[1].startswith("target_id,K,p,terminal_wealth")
         # one scored row per grid level
         assert len(lines) == 2 + 2
+
+    def test_rejected_is_true_where_the_wealth_reached_one_over_alpha(self, tmp_path):
+        # at p = 0.9 the path crosses 1/alpha = 2 while the terminal wealth
+        # ends near 1; the other levels never cross
+        cfg = small_config(tmp_path, k_list=[10], alpha=0.5, level_grid=[0.9, 0.95, 0.99])
+        assert main(["select", "--config", str(cfg), "--target", "T2"]) == 0
+        lines = (tmp_path / "out" / "scores_T2_K10.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[2:]]
+        assert [(r[2], r[4], r[5]) for r in rows] == [
+            ("0.9", "True", "3"), ("0.95", "False", ""), ("0.99", "False", "")]
+        assert float(rows[0][3]) < 2.0
 
 
 class TestEstimate:
@@ -395,15 +421,44 @@ class TestConfigAndErrors:
         ({"level_grid": [1.5]}, "levels must be in (0, 1), got [1.5]"),
         ({"n_basis": 2}, "n_basis must be >= 4"),
         ({"years": 0}, "years must be >= 1"),
+        ({"k_list": ["3"]}, "config key 'k_list' must be a list of int, got ['3']"),
+        ({"k_list": [3, True]}, "config key 'k_list' must be a list of int"),
+        ({"level_grid": [0.9, "x"]}, "config key 'level_grid' must be a list of float"),
+        ({"targets": ["T2", 1]}, "config key 'targets' must be a list of str"),
+        ({"data_paths": [5]}, "config key 'data_paths' must be a list of str, got [5]"),
+        ({"synth": {"n_runs": 1, "bogus": 1}}, "unknown synth keys: ['bogus']"),
+        ({"synth": {"n_runs": "1"}}, "synth key 'n_runs' must be int, got '1'"),
+        ({"synth": {"tail_scale": False}}, "synth key 'tail_scale' must be float"),
+        ({"synth": {"spatial_loading": ["1"]}},
+         "synth key 'spatial_loading' must be a list of float"),
+        ({"synth": {"n_runs": 0}}, "n_runs and years_per_run must be >= 1"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)
-        rc = main(["run", "--config", str(cfg)])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error:") and message in err
-        assert err.count("\n") == 1
-        assert not (tmp_path / "out").exists()  # rejected before any target ran
+        for command in ("run", "synth"):
+            rc = main([command, "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and message in err
+            assert err.count("\n") == 1
+            assert not (tmp_path / "out").exists()  # rejected before any output
+
+    def test_default_config_hash_is_pinned(self):
+        # every output's first line carries this hash: a default or a field
+        # that drifts changes every file
+        assert PipelineConfig().config_hash() == "b2c3d9f15fde96f3"
+
+    def test_synth_config_takes_every_synth_spec_field(self, tmp_path):
+        synth = {"n_runs": 1, "years_per_run": 2, "seed": 3, "seasonal_amplitude": 0,
+                 "tail_scale": 2, "spatial_loading": [0.5] * 25}
+        spec = PipelineConfig.from_file(small_config(tmp_path, synth=synth)).synth_spec()
+        assert (spec.n_runs, spec.years_per_run, spec.seed) == (1, 2, 3)
+        assert (spec.seasonal_amplitude, spec.tail_scale) == (0, 2)
+        assert np.array_equal(spec.spatial_loading, np.full(25, 0.5))
+        # the config's seed is the default, and a synth flag overrides the file
+        cfg = PipelineConfig(seed=9, synth={"n_runs": 1})
+        assert cfg.synth_spec().seed == 9
+        assert cfg.synth_spec(n_runs=2, tail_scale=None).n_runs == 2
 
     def test_config_accepts_int_for_float_and_null_synth(self, tmp_path):
         cfg = PipelineConfig.from_file(small_config(tmp_path, clip=1, synth=None))
