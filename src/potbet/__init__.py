@@ -18,6 +18,7 @@ from .ingest import (
 )
 from .reduce import (
     AngularReport,
+    ExceedanceSet,
     TargetSpec,
     UnivariateTarget,
     angular_diagnostic,
@@ -28,7 +29,6 @@ from .reduce import (
 from .potmodel import (
     AdjustedExceedances,
     CyclicScale,
-    ExceedanceSet,
     PotModel,
     QQReport,
     adjust,

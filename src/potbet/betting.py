@@ -74,9 +74,10 @@ class BettingState:
         if not 0.0 < self.clip < 2.0:
             raise ValueError("clip must be in (0, 2) to keep capital positive")
 
-    def step(self, y_obs: float, y_model: float) -> float:
-        """Play one round; returns the updated wealth."""
-        return self.bet(min(max(y_model - y_obs, -self.clip), self.clip))
+    def step(self, y_obs, y_model):
+        """Play one round on model - observed, clipped; returns the updated
+        wealth.  Arrays play one game per entry."""
+        return self.bet(np.clip(y_model - y_obs, -self.clip, self.clip))
 
     def bet(self, diff):
         """Play one round on a clipped model - observed difference.
@@ -114,8 +115,21 @@ def top_spacings(values: np.ndarray, K: int) -> np.ndarray:
     if n < K + 1:
         raise GameInfeasibleError(f"need at least K+1={K + 1} values, got {n}")
     # X_(K+1)..X_(1)
-    top = np.sort(np.partition(values, n - K - 1, axis=-1)[..., n - K - 1:], axis=-1)
-    return np.arange(K, 0, -1) * np.diff(top, axis=-1)
+    return np.arange(K, 0, -1) * np.diff(potmodel.largest(values, K + 1), axis=-1)
+
+
+def _play(obs: np.ndarray, mod: np.ndarray, clip: float, alpha: float):
+    """Play games round by round on the last axis; leading axes index games.
+
+    Returns the wealth paths and, per game, the first round whose wealth
+    reached 1/alpha (Ville), or -1 where none did.
+    """
+    state = BettingState(clip=clip)
+    path = np.empty(obs.shape)
+    for k in range(obs.shape[-1]):
+        path[..., k] = state.step(obs[..., k], mod[..., k])
+    reached = path >= 1.0 / alpha
+    return path, np.where(reached.any(axis=-1), reached.argmax(axis=-1), -1)
 
 
 def run_rounds(
@@ -124,24 +138,18 @@ def run_rounds(
     """Play the game on paired per-round values, in the order given.
 
     Round k bets on model_rounds[k] - obs_rounds[k] (clipped by
-    BettingState).  play_game passes the top_spacings of each side (as
-    null_calibration does for its batched games), so when the model is coherent with the observations the pairs
-    are exchangeable within a round and (exactly for one exponential scale)
-    independent across rounds.
+    BettingState).  play_game passes the top_spacings of each side, so when
+    the model is coherent with the observations the pairs are exchangeable
+    within a round and (exactly for one exponential scale) independent
+    across rounds.
     """
     obs = np.asarray(obs_rounds, dtype=np.float64)
     mod = np.asarray(model_rounds, dtype=np.float64)
     if obs.shape != mod.shape:
         raise ValueError("observed and model sides must have equal length")
-    state = BettingState(clip=clip)
-    path = np.empty(len(obs))
-    rejection_round = None
-    for k in range(len(obs)):
-        path[k] = state.step(obs[k], mod[k])
-        if rejection_round is None and path[k] >= 1.0 / alpha:
-            rejection_round = k
+    path, first = _play(obs, mod, clip, alpha)
     return GameResult(terminal_wealth=float(path[-1]), wealth_path=path,
-                      rejection_round=rejection_round)
+                      rejection_round=None if first < 0 else int(first))
 
 
 def play_game(
@@ -172,10 +180,13 @@ class LevelSelection:
     """Terminal-wealth scores across the level grid and the selected level."""
 
     p_star: float
-    scores: dict          # level -> terminal wealth
     results: dict         # level -> GameResult
     failures: dict        # level -> reason the level was skipped
     fits: dict            # level -> PotModel, or the message its fit raised
+
+    @property
+    def scores(self) -> dict:  # level -> terminal wealth
+        return {p: res.terminal_wealth for p, res in self.results.items()}
 
 
 def fit_levels(target: UnivariateTarget, cfg: GameConfig) -> dict:
@@ -206,7 +217,6 @@ def select_level(
     """
     if fits is None:
         fits = fit_levels(target, cfg)
-    scores: dict = {}
     results: dict = {}
     failures: dict = {}
     for p in cfg.level_grid:
@@ -225,16 +235,14 @@ def select_level(
         except (ValueError, np.linalg.LinAlgError) as exc:
             failures[p] = str(exc)
             continue
-        scores[p] = result.terminal_wealth
         results[p] = result
-    selectable = [p for p in scores if p <= cfg.max_level]
+    selectable = [p for p in results if p <= cfg.max_level]
     if not selectable:
         detail = "; ".join(f"p={p}: {msg}" for p, msg in failures.items())
         raise GameInfeasibleError(f"no selectable level succeeded ({detail})")
     # min score, ties broken toward the larger level
-    best = min(selectable, key=lambda p: (scores[p], -p))
-    return LevelSelection(p_star=best, scores=scores, results=results,
-                          failures=failures, fits=fits)
+    best = min(selectable, key=lambda p: (results[p].terminal_wealth, -p))
+    return LevelSelection(p_star=best, results=results, failures=failures, fits=fits)
 
 
 @dataclass
@@ -266,8 +274,8 @@ def null_calibration(
     that sample_model draws it holds closely but not exactly.
 
     Each trial draws its two samples from its own RNG streams, keeping only
-    their K+1 largest values (sample_top); all trials then play as one game
-    on arrays, round by round, with the updates run_rounds makes per game.
+    their K+1 largest values (sample_top); all trials then play at once,
+    through the loop run_rounds plays a single game with.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -280,14 +288,9 @@ def null_calibration(
     for i, child in enumerate(root.spawn(trials)):
         for side, s in enumerate(child.spawn(2)):
             tops[side, i] = potmodel.sample_top(model, n, cfg.K + 1, s)
-    obs, mod = top_spacings(tops, cfg.K)
-    diffs = np.clip(mod - obs, -cfg.clip, cfg.clip)
-    state = BettingState(clip=cfg.clip)
-    peak = np.zeros(trials)
-    for k in range(cfg.K):
-        peak = np.maximum(peak, state.bet(diffs[:, k]))
-    wealths = state.W
-    rejections = int(np.count_nonzero(peak >= 1.0 / cfg.alpha))
+    path, first = _play(*top_spacings(tops, cfg.K), cfg.clip, cfg.alpha)
+    wealths = path[:, -1]
+    rejections = int(np.count_nonzero(first >= 0))
     return CalibrationReport(
         trials=trials,
         rejection_fraction=rejections / trials,

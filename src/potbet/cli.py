@@ -192,7 +192,7 @@ def _emit_plot_data(outdir, cfg, target, model):
     tid = target.target_id
     _write_csv(outdir / f"seasonal_{tid}.csv", cfg, "day_of_year,scale",
                ((d, _fmt(v)) for d, v in enumerate(model.scale.table, start=1)))
-    exc = potmodel.extract_exceedances(target, model.p)
+    exc = reduce_mod.exceedances(target, model.p, model.q)
     adj = potmodel.adjust(exc, model.scale)
     _write_csv(outdir / f"adjusted_{tid}.csv", cfg, "day_of_year,adjusted_excess",
                ((int(d), _fmt(v)) for d, v in zip(exc.days, adj.values)))
@@ -200,7 +200,7 @@ def _emit_plot_data(outdir, cfg, target, model):
     _write_csv(outdir / f"qq_{tid}.csv", cfg, "theoretical,observed",
                ((_fmt(a), _fmt(b)) for a, b in zip(qq.theoretical, qq.observed)))
     if target.has_aux:
-        rep = reduce_mod.angular_diagnostic(target, model.p)
+        rep = reduce_mod.angular_diagnostic(target, exc)
         _write_csv(
             outdir / f"angular_{tid}.csv", cfg, "bin_left,bin_right,count",
             ((_fmt(rep.bin_edges[i]), _fmt(rep.bin_edges[i + 1]), int(c))
@@ -244,13 +244,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 _emit_poisson_plot(outdir, cfg, tid, est)
             # answered only once every output of the target succeeded
             answer_rows.append(row)
-            report[tid] = {
-                "p_star": selection.p_star,
-                "scores": selection.scores,
-                "observed_count": observed,
-                "point": est.point,
-                "ci": (est.ci_lo, est.ci_hi),
-            }
+            report[tid] = {"p_star": selection.p_star, "point": est.point,
+                           "ci": (est.ci_lo, est.ci_hi)}
         except (ValueError, np.linalg.LinAlgError) as exc:
             # a domain failure of one target; the remaining targets still run,
             # and anything else is a programming error that must surface
@@ -330,11 +325,11 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_fit(args) -> int:
     cfg, data, outdir = _prologue(args)
+    target = reduce_mod.reduce_target(data, reduce_mod.TargetSpec.canonical(args.target))
+    model = potmodel.fit_pot_model(target, args.p, n_basis=cfg.n_basis)
     if args.p > cfg.max_level:
         print(f"warning: p={args.p} exceeds max selectable level {cfg.max_level}",
               file=sys.stderr)
-    target = reduce_mod.reduce_target(data, reduce_mod.TargetSpec.canonical(args.target))
-    model = potmodel.fit_pot_model(target, args.p, n_basis=cfg.n_basis)
     print(_write_model(outdir, model))
     return 0
 

@@ -17,7 +17,7 @@ from scipy import special
 
 from .ingest import DAYS_PER_YEAR
 from .potmodel import PotModel
-from .reduce import TargetSpec, UnivariateTarget
+from .reduce import TargetSpec, UnivariateTarget, exceedances
 
 QUARTER_PI = math.pi / 4.0
 QUADRATURE_NODES = 64  # Gauss-Legendre nodes for the angular integral
@@ -148,11 +148,12 @@ def body_event_rate(target: UnivariateTarget, model: PotModel, spec: TargetSpec)
     The tail model never sees these days, so their events are counted at
     this observed rate.
     """
-    body = target.tail_series <= model.q
-    n_body = int(np.sum(body))
+    tail = exceedances(target, model.p, model.q).t
+    n_body = target.y.size - tail.size
     if n_body == 0:
         return 0.0
-    return int(np.sum(body & (target.y >= spec.event_threshold))) / n_body
+    hits = target.y >= spec.event_threshold
+    return (int(np.sum(hits)) - int(np.sum(hits[tail]))) / n_body
 
 
 def lower_median(counts: np.ndarray) -> int:

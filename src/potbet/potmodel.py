@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ingest import DAYS_PER_YEAR
-from .reduce import (MIN_QQ_VALUES, InsufficientDataError, UnivariateTarget,
-                     empirical_quantile)
+from .reduce import (MIN_QQ_VALUES, ExceedanceSet, InsufficientDataError,
+                     UnivariateTarget, empirical_quantile, exceedances)
 
 SQRT50 = math.sqrt(50.0)
 
@@ -27,20 +27,6 @@ class LevelTooHighError(ValueError):
     """Raised when the exceedance quantile violates a model constraint."""
 
 
-@dataclass
-class ExceedanceSet:
-    """Strict exceedances of a series above its empirical p-quantile."""
-
-    p: float
-    q: float
-    t: np.ndarray       # indices into the source series
-    days: np.ndarray    # day_of_year labels
-    excess: np.ndarray  # y - q, all > 0
-
-    def __len__(self) -> int:
-        return len(self.excess)
-
-
 def extract_exceedances(target: UnivariateTarget, p: float) -> ExceedanceSet:
     """Collect strict exceedances of the target's tail series above its
     empirical p-quantile.
@@ -48,17 +34,12 @@ def extract_exceedances(target: UnivariateTarget, p: float) -> ExceedanceSet:
     Paired targets threshold the norm series, which must stay below sqrt(50)
     so the event probability factorizes through the norm exceedance.
     """
-    series = target.tail_series
-    q = empirical_quantile(series, p)
+    q = empirical_quantile(target.tail_series, p)
     if target.has_aux and q >= SQRT50:
         raise LevelTooHighError(
             f"aux quantile {q:.4f} >= sqrt(50); choose a lower level than p={p}"
         )
-    mask = series > q
-    t = np.nonzero(mask)[0]
-    return ExceedanceSet(
-        p=p, q=q, t=t, days=target.d[t], excess=series[t] - q
-    )
+    return exceedances(target, p, q)
 
 
 def _bspline3(u: np.ndarray) -> np.ndarray:
@@ -142,9 +123,8 @@ def fit_seasonal_scale(exc: ExceedanceSet, n_basis: int = DEFAULT_N_BASIS) -> Cy
             f"rank-deficient design ({rank} < {n_basis}); reduce n_basis"
         )
     floor = 1e-6 * float(np.mean(exc.excess))
-    scale = CyclicScale(n_basis=n_basis, coefficients=coef, floor=floor)
     # remove the scale/residual aliasing degree of freedom: mean(E) = 1 exactly
-    mean_adj = float(np.mean(exc.excess / scale(exc.days)))
+    mean_adj = float(np.mean(exc.excess / np.maximum(X @ coef, floor)))
     return CyclicScale(n_basis=n_basis, coefficients=coef * mean_adj, floor=floor)
 
 
@@ -161,7 +141,7 @@ class AdjustedExceedances:
 
 
 def adjust(exc: ExceedanceSet, scale: CyclicScale) -> AdjustedExceedances:
-    return AdjustedExceedances(values=exc.excess / scale(exc.days))
+    return AdjustedExceedances(values=exc.excess / scale.table[exc.days - 1])
 
 
 @dataclass
@@ -307,9 +287,10 @@ def _angular(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return base * np.minimum(np.sin(theta), np.cos(theta))
 
 
-def _top(values: np.ndarray, k: int) -> np.ndarray:
-    """The k largest values, ascending."""
-    return np.sort(np.partition(values, values.size - k)[values.size - k:])
+def largest(values: np.ndarray, k: int) -> np.ndarray:
+    """The k largest values along the last axis, ascending."""
+    n = values.shape[-1]
+    return np.sort(np.partition(values, n - k, axis=-1)[..., n - k:], axis=-1)
 
 
 def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
@@ -335,18 +316,18 @@ def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     base, theta = _draw(model, n, seed)
     if theta is None:
-        return _top(base, k)
+        return largest(base, k)
     # the bound needs base >= 0, which q >= 0 guarantees
     if n <= PREPASS * k or model.q < 0.0:
-        return _top(_angular(base, theta), k)
+        return largest(_angular(base, theta), k)
     pre = np.argpartition(base, n - PREPASS * k)[n - PREPASS * k:]
-    floor = _top(_angular(base[pre], theta[pre]), k)[0]
+    floor = largest(_angular(base[pre], theta[pre]), k)[0]
     keep = np.flatnonzero(base * ANGULAR_BOUND >= floor)
-    return _top(_angular(base[keep], theta[keep]), k)
+    return largest(_angular(base[keep], theta[keep]), k)
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:
     """Observed sample at the model's exceedance level: the y values where
     the tail series exceeds q (for paired targets, the quantity the angular
     model's samples emulate)."""
-    return target.y[target.tail_series > model.q]
+    return target.y[exceedances(target, model.p, model.q).t]

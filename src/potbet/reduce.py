@@ -83,6 +83,27 @@ class UnivariateTarget:
         return self.ybar if self.has_aux else self.y
 
 
+@dataclass
+class ExceedanceSet:
+    """Strict exceedances of a tail series above q, a model's threshold at level p."""
+
+    p: float
+    q: float
+    t: np.ndarray       # indices into the source series
+    days: np.ndarray    # day_of_year labels
+    excess: np.ndarray  # tail series - q, all > 0
+
+    def __len__(self) -> int:
+        return len(self.excess)
+
+
+def exceedances(target: UnivariateTarget, p: float, q: float) -> ExceedanceSet:
+    """The days whose tail series lies strictly above q."""
+    series = target.tail_series
+    t = np.flatnonzero(series > q)
+    return ExceedanceSet(p=p, q=q, t=t, days=target.d[t], excess=series[t] - q)
+
+
 def empirical_quantile(y: np.ndarray, p: float) -> float:
     """Ascending order statistic at index ceil(n*p) (1-based)."""
     y = np.asarray(y)
@@ -130,7 +151,7 @@ def count_events(target: UnivariateTarget, spec: TargetSpec) -> int:
 
 @dataclass
 class AngularReport:
-    """Angular diagnostic of the pair decomposition above a high norm quantile."""
+    """Angular diagnostic of the pair decomposition above a model's norm threshold."""
 
     angles: np.ndarray        # arcsin(y31 / ybar), in [0, pi/2]
     hist_counts: np.ndarray   # 20 equal bins over [0, pi/2]
@@ -139,18 +160,16 @@ class AngularReport:
     n_exceedances: int
 
 
-def angular_diagnostic(target: UnivariateTarget, p: float) -> AngularReport:
-    """Check that pairs above the norm's p-quantile look like (sin, cos) of a uniform angle."""
+def angular_diagnostic(target: UnivariateTarget, exc: ExceedanceSet) -> AngularReport:
+    """Check that the pairs on the exceedance days of the norm look like
+    (sin, cos) of a uniform angle."""
     if not target.has_aux:
         raise ValueError("angular diagnostic requires a paired target")
-    u = empirical_quantile(target.ybar, p)
-    mask = target.ybar > u
-    n = int(mask.sum())
+    n = len(exc)
     if n < MIN_QQ_VALUES:
         raise InsufficientDataError(
-            f"only {n} exceedances above the {p} quantile; need >= {MIN_QQ_VALUES}"
-        )
-    ratio = np.clip(target.y31[mask] / target.ybar[mask], 0.0, 1.0)
+            f"only {n} exceedances above q={exc.q}; need >= {MIN_QQ_VALUES}")
+    ratio = np.clip(target.y31[exc.t] / target.ybar[exc.t], 0.0, 1.0)
     angles = np.arcsin(ratio)
     half_pi = math.pi / 2
     hist, edges = np.histogram(angles, bins=20, range=(0.0, half_pi))

@@ -141,16 +141,22 @@ class TestReduceAndFit:
         assert model["p"] == 0.95
 
     def test_fit_warns_above_max_selectable_level(self, tmp_path, capsys):
-        # the warning must come out even when the fit itself then fails for
-        # lack of exceedances at such an extreme level
-        cfg = small_config(tmp_path)
-        rc = main(["fit", "--config", str(cfg), "--target", "T2",
-                   "--p", "0.9999"])
+        # the warning follows a fit that succeeded
+        cfg = small_config(tmp_path, max_level=0.9)
+        rc = main(["fit", "--config", str(cfg), "--target", "T2", "--p", "0.95"])
         captured = capsys.readouterr()
-        assert "warning" in captured.err
-        assert "0.9999" in captured.err
+        assert rc == 0
+        assert captured.err == "warning: p=0.95 exceeds max selectable level 0.9\n"
+
+    @pytest.mark.parametrize("p", ["1.5", "0.9999"])
+    def test_failed_fit_prints_one_error_line(self, tmp_path, capsys, p):
+        # p outside (0, 1), and a level too extreme to leave enough
+        # exceedances: one error line and no warning before it
+        cfg = small_config(tmp_path)
+        rc = main(["fit", "--config", str(cfg), "--target", "T2", "--p", p])
+        err = capsys.readouterr().err.splitlines()
         assert rc == 2
-        assert "error:" in captured.err
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 class TestSelect:
@@ -380,6 +386,27 @@ class TestRunPipeline:
             assert staged.pop("answer.csv").decode().splitlines() == answer[:2] + row
             for name, data in staged.items():
                 assert data == ran[name], name
+
+    def test_report_on_another_panel_thresholds_at_the_model_q(self, tmp_path):
+        # a model fitted on one panel and reported on another: the adjusted
+        # and angular files hold exactly the days above the model's q
+        cfg = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(cfg), "--seed", "0", "--target", "T3",
+                     "--p", "0.9"]) == 0
+        model = potmodel.PotModel.from_json((out / "model_T3.json").read_text())
+        assert main(["report", "--config", str(cfg), "--seed", "1",
+                     "--model", str(out / "model_T3.json")]) == 0
+        data = potbet.generate_synthetic(potbet.SynthSpec(
+            n_runs=4, years_per_run=25, seed=1, tail_scale=1.0, seasonal_amplitude=0.5))
+        target = potbet.reduce_target(data, potbet.TargetSpec.canonical("T3"))
+        above = target.ybar > model.q
+        assert np.count_nonzero(above) != np.count_nonzero(
+            target.ybar > potbet.empirical_quantile(target.ybar, model.p))
+        rows = (out / "adjusted_T3.csv").read_text().splitlines()[2:]
+        assert [int(r.split(",")[0]) for r in rows] == target.d[above].tolist()
+        counts = (out / "angular_T3.csv").read_text().splitlines()[2:]
+        assert sum(int(r.split(",")[2]) for r in counts) == np.count_nonzero(above)
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

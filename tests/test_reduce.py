@@ -15,10 +15,11 @@ from potbet import (
     UnivariateTarget,
     angular_diagnostic,
     count_events,
+    extract_exceedances,
     generate_synthetic,
     reduce_target,
 )
-from potbet.reduce import InsufficientDataError
+from potbet.reduce import InsufficientDataError, exceedances
 
 
 def panel_from_values(values):
@@ -138,14 +139,15 @@ class TestAngularDiagnostic:
         ybar = 1.0 + rng.exponential(size=n)
         theta = rng.uniform(0, math.pi / 2, size=n)
         t = make_pair_target(ybar * np.sin(theta), ybar * np.cos(theta))
-        rep = angular_diagnostic(t, 0.5)  # 10^4 exceedances
+        # 10^4 exceedances above the median
+        rep = angular_diagnostic(t, extract_exceedances(t, 0.5))
         assert rep.n_exceedances == 10000
         assert rep.ks_distance < 1.36 / math.sqrt(rep.n_exceedances)
 
     def test_diagonal_pairs_give_half_distance(self):
         v = np.linspace(1.0, 2.0, 100)
         t = make_pair_target(v, v)
-        rep = angular_diagnostic(t, 0.5)
+        rep = angular_diagnostic(t, extract_exceedances(t, 0.5))
         assert np.allclose(rep.angles, math.pi / 4)
         assert rep.ks_distance == pytest.approx(0.5, abs=0.02)
 
@@ -154,7 +156,7 @@ class TestAngularDiagnostic:
         theta = rng.uniform(0, math.pi / 2, size=5000)
         ybar = 1.0 + rng.random(5000)
         t = make_pair_target(ybar * np.sin(theta), ybar * np.cos(theta))
-        rep = angular_diagnostic(t, 0.1)
+        rep = angular_diagnostic(t, extract_exceedances(t, 0.1))
         assert len(rep.hist_counts) == 20
         assert rep.bin_edges[0] == 0.0
         assert rep.bin_edges[-1] == pytest.approx(math.pi / 2)
@@ -164,13 +166,35 @@ class TestAngularDiagnostic:
         v = np.linspace(1.0, 2.0, 30)
         t = make_pair_target(v, v)
         with pytest.raises(InsufficientDataError):
-            angular_diagnostic(t, 0.9)  # only 3 exceedances
+            angular_diagnostic(t, extract_exceedances(t, 0.9))  # only 3 exceedances
+
+    def test_reads_the_days_of_the_exceedance_set(self):
+        # the set's threshold is a model's q, not a quantile of this series
+        rng = np.random.default_rng(14)
+        theta = rng.uniform(0, math.pi / 2, size=500)
+        ybar = 1.0 + rng.exponential(size=500)
+        t = make_pair_target(ybar * np.sin(theta), ybar * np.cos(theta))
+        rep = angular_diagnostic(t, exceedances(t, 0.9, 2.5))
+        above = t.ybar > 2.5
+        assert rep.n_exceedances == np.count_nonzero(above)
+        assert np.array_equal(rep.angles, np.arcsin(np.clip(t.y31[above] / t.ybar[above], 0, 1)))
 
     def test_requires_paired_target(self):
         t = UnivariateTarget(target_id="T1", y=np.ones(100),
                              d=np.arange(100) % 365 + 1)
         with pytest.raises(ValueError):
-            angular_diagnostic(t, 0.5)
+            angular_diagnostic(t, extract_exceedances(t, 0.5))
+
+
+class TestExceedances:
+    def test_strictly_above_q_on_the_tail_series(self):
+        # a pair's norm is its tail series; a value equal to q is not an exceedance
+        t = make_pair_target([3.0, 4.0, 0.0, 6.0], [4.0, 3.0, 1.0, 8.0])
+        exc = exceedances(t, 0.5, 5.0)
+        assert (exc.p, exc.q) == (0.5, 5.0)
+        assert exc.t.tolist() == [3]
+        assert exc.days.tolist() == [4]
+        assert exc.excess.tolist() == [5.0]
 
 
 class TestTargetSpecValidation:
