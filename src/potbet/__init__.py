@@ -48,7 +48,6 @@ from .betting import (
     LevelSelection,
     fit_levels,
     null_calibration,
-    play_game,
     run_rounds,
     select_level,
     top_spacings,
@@ -63,12 +62,3 @@ from .estimate import (
 )
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # cli is imported on first use: importing it here would put it in
-    # sys.modules before `python -m potbet.cli` runs it as __main__
-    if name in ("PipelineConfig", "run_pipeline"):
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

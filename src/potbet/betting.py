@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import potmodel
-from .reduce import MIN_QQ_VALUES, InsufficientDataError, UnivariateTarget
+from .reduce import MIN_QQ_VALUES, UnivariateTarget
 
 DEFAULT_LEVEL_GRID = (0.9, 0.99, 0.995, 0.999, 0.9992, 0.9995, 0.9997, 0.9999)
 
@@ -138,10 +138,10 @@ def run_rounds(
     """Play the game on paired per-round values, in the order given.
 
     Round k bets on model_rounds[k] - obs_rounds[k] (clipped by
-    BettingState).  play_game passes the top_spacings of each side, so when
-    the model is coherent with the observations the pairs are exchangeable
-    within a round and (exactly for one exponential scale) independent
-    across rounds.
+    BettingState).  select_level passes the top_spacings of each side, so
+    when the model is coherent with the observations the pairs are
+    exchangeable within a round and (exactly for one exponential scale)
+    independent across rounds.
     """
     obs = np.asarray(obs_rounds, dtype=np.float64)
     mod = np.asarray(model_rounds, dtype=np.float64)
@@ -150,24 +150,6 @@ def run_rounds(
     path, first = _play(obs, mod, clip, alpha)
     return GameResult(terminal_wealth=float(path[-1]), wealth_path=path,
                       rejection_round=None if first < 0 else int(first))
-
-
-def play_game(
-    y_obs: np.ndarray,
-    model: potmodel.PotModel,
-    cfg: GameConfig,
-    seed=None,
-) -> GameResult:
-    """Draw one model sample of size |y_obs| and play the K spacing rounds.
-
-    Raises GameInfeasibleError unless y_obs holds at least K+1 values.
-    """
-    y_obs = np.asarray(y_obs, dtype=np.float64)
-    obs_rounds = top_spacings(y_obs, cfg.K)
-    sample = potmodel.sample_top(model, y_obs.size, cfg.K + 1,
-                                 cfg.seed if seed is None else seed)
-    return run_rounds(obs_rounds, top_spacings(sample, cfg.K),
-                      clip=cfg.clip, alpha=cfg.alpha)
 
 
 def level_seed(seed: int, p: float) -> np.random.SeedSequence:
@@ -209,11 +191,13 @@ def select_level(
 ) -> LevelSelection:
     """Score every grid level by terminal wealth and pick the minimizer.
 
-    Each level's model comes from ``fits`` (``fit_levels`` when None) and
-    plays one game with a seed derived from (cfg.seed, level).  A level
-    whose fit failed, or with fewer exceedances than a Q-Q report needs, is
-    a failure.  Levels above cfg.max_level are scored but never selected;
-    ties go to the larger level.
+    Each level's model comes from ``fits`` (``fit_levels`` when None).  A
+    level whose fit failed, with fewer than K+1 observed exceedances, or
+    with fewer than a Q-Q report needs, is a failure and plays no game.
+    Every other level draws one model sample of the observed size, with a
+    seed derived from (cfg.seed, level), and plays its K spacing rounds.
+    Levels above cfg.max_level are scored but never selected; ties go to
+    the larger level.
     """
     if fits is None:
         fits = fit_levels(target, cfg)
@@ -224,18 +208,21 @@ def select_level(
         if isinstance(model, str):
             failures[p] = model
             continue
+        y_obs = potmodel.observed_exceedance_values(target, model)
         try:
-            y_obs = potmodel.observed_exceedance_values(target, model)
-            result = play_game(y_obs, model, cfg, seed=level_seed(cfg.seed, p))
-            if model.day_pool.size < MIN_QQ_VALUES:
-                # the selected level's Q-Q and angular files could not be reported
-                raise InsufficientDataError(
-                    f"{model.day_pool.size} exceedances < {MIN_QQ_VALUES}"
-                    " needed for a Q-Q report")
-        except (ValueError, np.linalg.LinAlgError) as exc:
+            obs_rounds = top_spacings(y_obs, cfg.K)
+        except GameInfeasibleError as exc:
             failures[p] = str(exc)
             continue
-        results[p] = result
+        if model.day_pool.size < MIN_QQ_VALUES:
+            # the selected level's Q-Q and angular files could not be reported
+            failures[p] = (f"{model.day_pool.size} exceedances < {MIN_QQ_VALUES}"
+                           " needed for a Q-Q report")
+            continue
+        sample = potmodel.sample_top(model, y_obs.size, cfg.K + 1,
+                                     level_seed(cfg.seed, p))
+        results[p] = run_rounds(obs_rounds, top_spacings(sample, cfg.K),
+                                clip=cfg.clip, alpha=cfg.alpha)
     selectable = [p for p in results if p <= cfg.max_level]
     if not selectable:
         detail = "; ".join(f"p={p}: {msg}" for p, msg in failures.items())

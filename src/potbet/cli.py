@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -78,6 +77,11 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.k_list:
             raise ValueError("k_list must be non-empty")
+        for key in ("targets", "k_list", "level_grid"):
+            values = getattr(self, key)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"{key} repeats {repeated}")
         unknown = [t for t in self.targets if t not in reduce_mod.TARGET_IDS]
         if unknown:
             raise ValueError(f"unknown targets: {unknown}")
@@ -178,10 +182,10 @@ def _write_model(outdir, model) -> Path:
     return path
 
 
-def _estimate(cfg, target, spec, model, observed):
+def _estimate(cfg, target, spec, model):
     """Estimate stage: the frequency estimate and its answer.csv row."""
     est = estimate.estimate_frequency(
-        model, spec, observed, cfg.estimate_config(),
+        model, spec, reduce_mod.count_events(target, spec), cfg.estimate_config(),
         body_rate=estimate.body_event_rate(target, model, spec))
     return est, (spec.target_id, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
                  _fmt(est.achieved_coverage), _fmt(est.lam), cfg.n_replications, cfg.seed)
@@ -237,8 +241,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 _select(cfg, outdir, target, k, selection.fits)
             model = selection.fits[selection.p_star]
             _write_model(outdir, model)
-            observed = reduce_mod.count_events(target, spec)
-            est, row = _estimate(cfg, target, spec, model, observed)
+            est, row = _estimate(cfg, target, spec, model)
             if cfg.emit_plot_data:
                 _emit_plot_data(outdir, cfg, target, model)
                 _emit_poisson_plot(outdir, cfg, tid, est)
@@ -344,12 +347,7 @@ def _cmd_select(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg, outdir, model, spec, target = _model_prologue(args)
-    if args.p is not None and not math.isclose(args.p, model.p):
-        raise ValueError(f"model fitted at p={model.p}, requested p={args.p}")
-    observed = args.observed_count
-    if observed is None:
-        observed = reduce_mod.count_events(target, spec)
-    est, row = _estimate(cfg, target, spec, model, observed)
+    est, row = _estimate(cfg, target, spec, model)
     _write_csv(outdir / "answer.csv", cfg, ANSWER_HEADER, [row])
     print(f"{model.target_id}: point={est.point} ci=[{est.ci_lo}, {est.ci_hi}]")
     return 0
@@ -371,8 +369,7 @@ def _cmd_run(args) -> int:
               f"ci={info['ci']}")
     for tid, msg in errors.items():
         print(f"{tid}: FAILED ({msg})", file=sys.stderr)
-    wanted = args.target or cfg.targets
-    return 0 if all(t in report for t in wanted) else 1
+    return 0 if all(t in report for t in cfg.targets) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("estimate", help="frequency estimate from a fitted model")
     _add_common(sp)
     sp.add_argument("--model", required=True)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--observed-count", type=int, dest="observed_count")
     sp.set_defaults(func=_cmd_estimate)
 
     sp = sub.add_parser("report", help="emit plot data for a fitted model")

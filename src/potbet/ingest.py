@@ -121,25 +121,24 @@ class SynthSpec:
         if np.any(self.spatial_loading <= 0) or np.any(self.spatial_loading > 1):
             raise ValueError("spatial_loading entries must lie in (0, 1]")
 
-    def seasonal_scale(self, day_of_year: np.ndarray) -> np.ndarray:
+    def sample_days(self, rng, day_of_year: np.ndarray) -> np.ndarray:
+        """The (n_days, 25) values of the given days; rng draws all of Z's
+        exponentials first, then the noise."""
         d = np.asarray(day_of_year, dtype=np.float64)
-        return self.tail_scale * (
+        s = self.tail_scale * (
             1.0 + self.seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
         )
+        z = s * rng.exponential(size=d.size)
+        noise = rng.exponential(size=(d.size, N_LOCATIONS))
+        return self.spatial_loading[None, :] * z[:, None] + noise
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Generate a Dataset from the seasonal latent-factor model, seed-deterministic."""
     rng = np.random.default_rng(spec.seed)
-    n_days = spec.years_per_run * DAYS_PER_YEAR
-    doy = np.arange(n_days) % DAYS_PER_YEAR + 1
-    scale = spec.seasonal_scale(doy)
-    runs = []
-    for run_id in range(spec.n_runs):
-        z = scale * rng.exponential(size=n_days)
-        noise = rng.exponential(size=(n_days, N_LOCATIONS))
-        values = spec.spatial_loading[None, :] * z[:, None] + noise
-        runs.append(GridRun(run_id=run_id, day_of_year=doy.copy(), values=values))
+    doy = np.arange(spec.years_per_run * DAYS_PER_YEAR) % DAYS_PER_YEAR + 1
+    runs = [GridRun(run_id=r, day_of_year=doy.copy(), values=spec.sample_days(rng, doy))
+            for r in range(spec.n_runs)]
     return Dataset(runs=runs)
 
 
@@ -287,10 +286,7 @@ def ground_truth_frequency(
     while done < oracle_days:
         n = min(chunk_days, oracle_days - done)
         doy = (done + np.arange(n)) % DAYS_PER_YEAR + 1
-        z = spec.seasonal_scale(doy) * rng.exponential(size=n)
-        values = spec.spatial_loading[None, :] * z[:, None] + rng.exponential(
-            size=(n, N_LOCATIONS)
-        )
+        values = spec.sample_days(rng, doy)
         idx = N_LOCATIONS - target.rank
         y = np.partition(values, idx, axis=1)[:, idx]
         if target.consecutive:

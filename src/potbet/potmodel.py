@@ -210,14 +210,21 @@ class PotModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PotModel":
-        """Load ``to_json`` output; older files may also carry ``knots``,
-        which is derived from n_basis, and ``shape``, which must be 0."""
+        """Load ``to_json`` output; p must be a number in (0, 1), and q and
+        floor finite numbers.  Older files may also carry ``knots``, which
+        is derived from n_basis, and ``shape``, which must be 0."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("model JSON must be an object")
         if obj.get("shape", 0.0) != 0.0:
             raise ValueError("only the exponential tail (shape 0) is supported")
         try:
+            for key in ("p", "q", "floor"):
+                v = obj[key]
+                number = isinstance(v, (int, float)) and not isinstance(v, bool)
+                if not (number and math.isfinite(v) and (key != "p" or 0.0 < v < 1.0)):
+                    rule = "a number in (0, 1)" if key == "p" else "a finite number"
+                    raise ValueError(f"model key {key!r} must be {rule}, got {v!r}")
             scale = CyclicScale(
                 n_basis=obj["n_basis"],
                 coefficients=np.array(obj["coefficients"]),

@@ -15,7 +15,6 @@ from potbet import (
     generate_synthetic,
     fit_pot_model,
     null_calibration,
-    play_game,
     reduce_target,
     run_rounds,
     sample_model,
@@ -23,6 +22,7 @@ from potbet import (
     select_level,
     top_spacings,
 )
+from potbet import betting
 from potbet.betting import GameInfeasibleError, level_seed
 from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
 
@@ -123,6 +123,13 @@ class TestTopSpacings:
         got = top_spacings([0.0, 5.0, 1.0, 3.0, 2.5], 3)
         assert got == pytest.approx([4.5, 1.0, 2.0])
 
+    def test_needs_k_plus_one_values(self):
+        with pytest.raises(GameInfeasibleError, match="need at least K\\+1=6 values, got 5"):
+            top_spacings(np.arange(5.0), 5)
+        with pytest.raises(GameInfeasibleError, match="got 2"):
+            top_spacings(np.array([1.0, 2.0]), 5)
+        assert top_spacings(np.arange(6.0), 5) == pytest.approx([5.0, 4.0, 3.0, 2.0, 1.0])
+
     def test_exponential_spacings_have_the_tail_scale(self):
         # Renyi: for Exp(scale) samples every normalised spacing is
         # Exp(scale), whatever its rank and the sample size.
@@ -157,39 +164,6 @@ class TestVille:
 def small_target(seed=0, years=20):
     data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=years, seed=seed))
     return reduce_target(data, TargetSpec.canonical("T2"))
-
-
-class TestPlayGame:
-    def test_infeasible_when_too_few_observations(self):
-        target = small_target()
-        model = fit_pot_model(target, 0.9, n_basis=4)
-        cfg = GameConfig(K=5, level_grid=(0.9,), max_level=0.9)
-        with pytest.raises(GameInfeasibleError):
-            play_game(np.array([1.0, 2.0]), model, cfg)
-
-    def test_needs_k_plus_one_observations(self):
-        target = small_target()
-        model = fit_pot_model(target, 0.9, n_basis=4)
-        cfg = GameConfig(K=5, level_grid=(0.9,), max_level=0.9)
-        with pytest.raises(GameInfeasibleError, match="K\\+1=6"):
-            play_game(np.arange(5.0), model, cfg)
-        res = play_game(np.arange(6.0), model, cfg)
-        obs = top_spacings(np.arange(6.0), 5)
-        assert obs == pytest.approx([5.0, 4.0, 3.0, 2.0, 1.0])
-        mod = top_spacings(sample_top(model, 6, 6, cfg.seed), 5)
-        expected = run_rounds(obs, mod, clip=cfg.clip, alpha=cfg.alpha)
-        assert len(res.wealth_path) == 5
-        assert np.array_equal(res.wealth_path, expected.wealth_path)
-
-    def test_seed_determinism(self):
-        target = small_target()
-        model = fit_pot_model(target, 0.99, n_basis=4)
-        y_obs = observed_exceedance_values(target, model)
-        cfg = GameConfig(K=3, seed=77, level_grid=(0.99,), max_level=0.99)
-        a = play_game(y_obs, model, cfg)
-        b = play_game(y_obs, model, cfg)
-        assert a.terminal_wealth == b.terminal_wealth
-        assert np.array_equal(a.wealth_path, b.wealth_path)
 
 
 class TestGameConfig:
@@ -227,7 +201,44 @@ class TestSelectLevel:
     def test_deterministic_scores(self):
         target = small_target(seed=3)
         cfg = GameConfig(level_grid=(0.9, 0.95), max_level=0.95, seed=9, n_basis=4)
-        assert select_level(target, cfg).scores == select_level(target, cfg).scores
+        a, b = select_level(target, cfg), select_level(target, cfg)
+        assert a.scores == b.scores
+        for p in cfg.level_grid:
+            assert np.array_equal(a.results[p].wealth_path, b.results[p].wealth_path)
+        other = select_level(target, GameConfig(level_grid=(0.9, 0.95), max_level=0.95,
+                                                seed=10, n_basis=4))
+        assert other.scores != a.scores
+
+    def test_each_game_plays_the_top_spacings_of_both_sides(self):
+        # the observed K+1 largest exceedances against the top K+1 of one
+        # model sample of the observed size, seeded by (seed, level)
+        target = small_target()
+        cfg = GameConfig(K=5, level_grid=(0.9,), max_level=0.9, seed=77, n_basis=4)
+        sel = select_level(target, cfg)
+        model = sel.fits[0.9]
+        y_obs = observed_exceedance_values(target, model)
+        sample = sample_top(model, y_obs.size, 6, level_seed(77, 0.9))
+        expected = run_rounds(top_spacings(y_obs, 5), top_spacings(sample, 5),
+                              clip=cfg.clip, alpha=cfg.alpha)
+        assert len(sel.results[0.9].wealth_path) == 5
+        assert np.array_equal(sel.results[0.9].wealth_path, expected.wealth_path)
+
+    def test_only_scored_levels_play_a_game(self, monkeypatch):
+        # criterion 2's panel at n_basis 6 and K 5: p = 0.9995 keeps 18
+        # exceedances, enough for K+1 but too few for a Q-Q report
+        data = generate_synthetic(SynthSpec(n_runs=4, years_per_run=25, seed=6))
+        target = reduce_target(data, TargetSpec.canonical("T2"))
+        games = []
+
+        def counted(*args, **kwargs):
+            games.append(args)
+            return run_rounds(*args, **kwargs)
+
+        monkeypatch.setattr(betting, "run_rounds", counted)
+        sel = select_level(target, GameConfig(K=5, n_basis=6))
+        assert sel.failures[0.9995] == (
+            f"18 exceedances < {MIN_QQ_VALUES} needed for a Q-Q report")
+        assert len(games) == len(sel.results) == 5
 
     def test_infeasible_levels_reported(self):
         target = small_target(seed=4, years=2)  # 1460 days
@@ -246,7 +257,7 @@ class TestSelectLevel:
         cfg = GameConfig(K=k, level_grid=(0.9, 0.99), max_level=0.99,
                          seed=1, n_basis=4)
         sel = select_level(target, cfg)
-        assert "K+1" in sel.failures[0.99]
+        assert sel.failures[0.99] == f"need at least K+1={k + 1} values, got {k}"
         assert sel.p_star == 0.9
 
     def test_level_too_small_for_a_qq_report_is_a_failure(self):

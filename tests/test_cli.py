@@ -191,10 +191,9 @@ class TestEstimate:
         out = Path(json.loads(cfg.read_text())["out_dir"])
         return cfg, out / "model_T2.json"
 
-    def test_estimate_with_observed_count(self, tmp_path, capsys):
+    def test_estimate_writes_a_point_on_the_grid(self, tmp_path, capsys):
         cfg, model = self.fitted_model(tmp_path)
-        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
-                   "--observed-count", "1"])
+        rc = main(["estimate", "--config", str(cfg), "--model", str(model)])
         assert rc == 0
         assert "point=" in capsys.readouterr().out
         out = model.parent / "answer.csv"
@@ -203,21 +202,13 @@ class TestEstimate:
         point = float(lines[2].split(",")[1])
         assert round(point * 50) == pytest.approx(point * 50)
 
-    def test_p_mismatch_exits_2(self, tmp_path, capsys):
-        cfg, model = self.fitted_model(tmp_path)
-        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
-                   "--p", "0.99", "--observed-count", "0"])
-        assert rc == 2
-        assert "fitted at p=0.95" in capsys.readouterr().err
-
     def test_model_without_floor_exits_2(self, tmp_path, capsys):
         cfg, model = self.fitted_model(tmp_path)
         obj = json.loads(model.read_text())
         del obj["floor"]
         model.write_text(json.dumps(obj))
         capsys.readouterr()
-        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
-                   "--observed-count", "0"])
+        rc = main(["estimate", "--config", str(cfg), "--model", str(model)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "'floor'" in err
@@ -228,6 +219,12 @@ class TestEstimate:
         ("target_id", "T9", "unknown target 'T9'"),
         ("kind", "angular", "a T2 model must be 'direct', got 'angular'"),
         ("target_id", "T3", "a T3 model must be 'angular', got 'direct'"),
+        ("p", "0.9", "model key 'p' must be a number in (0, 1), got '0.9'"),
+        ("p", None, "model key 'p' must be a number in (0, 1), got None"),
+        ("p", 1.5, "model key 'p' must be a number in (0, 1), got 1.5"),
+        ("q", "1.0", "model key 'q' must be a finite number, got '1.0'"),
+        ("q", float("nan"), "model key 'q' must be a finite number, got nan"),
+        ("floor", "1e-6", "model key 'floor' must be a finite number, got '1e-6'"),
     ])
     def test_bad_target_or_kind_exits_2(self, tmp_path, capsys, command, key,
                                          value, message):
@@ -249,8 +246,7 @@ class TestEstimate:
         obj["day_pool"][-1] = day
         model.write_text(json.dumps(obj))
         capsys.readouterr()
-        rc = main(["estimate", "--config", str(cfg), "--model", str(model),
-                   "--observed-count", "0"])
+        rc = main(["estimate", "--config", str(cfg), "--model", str(model)])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error:") and "day_pool" in err
@@ -459,6 +455,9 @@ class TestConfigAndErrors:
         ({"synth": {"spatial_loading": ["1"]}},
          "synth key 'spatial_loading' must be a list of float"),
         ({"synth": {"n_runs": 0}}, "n_runs and years_per_run must be >= 1"),
+        ({"targets": ["T2", "T2"]}, "targets repeats ['T2']"),
+        ({"k_list": [3, 5, 3]}, "k_list repeats [3]"),
+        ({"level_grid": [0.9, 0.99, 0.9]}, "level_grid repeats [0.9]"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)
@@ -469,6 +468,13 @@ class TestConfigAndErrors:
             assert err.startswith("error:") and message in err
             assert err.count("\n") == 1
             assert not (tmp_path / "out").exists()  # rejected before any output
+
+    def test_repeated_target_flag_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        rc = main(["run", "--config", str(cfg), "--target", "T2", "--target", "T2"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: targets repeats ['T2']\n"
+        assert not (tmp_path / "out").exists()
 
     def test_default_config_hash_is_pinned(self):
         # every output's first line carries this hash: a default or a field
