@@ -52,6 +52,13 @@ def _check_json(cls, obj: dict, what: str) -> None:
                              f"got {value!r}")
 
 
+def _check_unique(key: str, values: list) -> None:
+    """ValueError naming the entries that values repeats."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{key} repeats {repeated}")
+
+
 @dataclass
 class PipelineConfig:
     """Everything needed to reproduce a full run."""
@@ -78,10 +85,7 @@ class PipelineConfig:
         if not self.k_list:
             raise ValueError("k_list must be non-empty")
         for key in ("targets", "k_list", "level_grid"):
-            values = getattr(self, key)
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ValueError(f"{key} repeats {repeated}")
+            _check_unique(key, getattr(self, key))
         unknown = [t for t in self.targets if t not in reduce_mod.TARGET_IDS]
         if unknown:
             raise ValueError(f"unknown targets: {unknown}")
@@ -313,6 +317,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    # the flags bypass PipelineConfig, whose hash every output carries
+    _check_unique("targets", args.target or [])
     cfg, data, outdir = _prologue(args)
     for tid in args.target or cfg.targets:
         spec = reduce_mod.TargetSpec.canonical(tid)

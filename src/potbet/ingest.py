@@ -26,6 +26,21 @@ CSV_HEADER = (
 _N_COLUMNS = 3 + N_LOCATIONS
 
 
+def rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:
+    """Each row's rank-th largest of its N_LOCATIONS values (1 = max, 25 = min).
+
+    Ranks 25 and 1 take one `min` or `max` pass; the other ranks a
+    partition.  Either way the result is an element of its row, so every
+    rank gives the same bits as the sorted row's entry.
+    """
+    if rank == N_LOCATIONS:
+        return values.min(axis=1)
+    if rank == 1:
+        return values.max(axis=1)
+    idx = N_LOCATIONS - rank  # ascending-sorted position of the rank-th largest
+    return np.partition(values, idx, axis=1)[:, idx]
+
+
 class IngestError(ValueError):
     """Raised for malformed or invalid input files."""
 
@@ -122,15 +137,20 @@ class SynthSpec:
             raise ValueError("spatial_loading entries must lie in (0, 1]")
 
     def sample_days(self, rng, day_of_year: np.ndarray) -> np.ndarray:
-        """The (n_days, 25) values of the given days; rng draws all of Z's
-        exponentials first, then the noise."""
+        """The (n_days, 25) values of the given days.
+
+        rng draws all of Z's exponentials first, then the noise: the stream
+        `rng.exponential` gave.  loading * Z is added into the noise in
+        place, and addition commutes, so the values are loading * Z + noise.
+        """
         d = np.asarray(day_of_year, dtype=np.float64)
         s = self.tail_scale * (
             1.0 + self.seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
         )
-        z = s * rng.exponential(size=d.size)
-        noise = rng.exponential(size=(d.size, N_LOCATIONS))
-        return self.spatial_loading[None, :] * z[:, None] + noise
+        z = s * rng.standard_exponential(d.size)
+        values = rng.standard_exponential((d.size, N_LOCATIONS))
+        values += self.spatial_loading * z[:, None]
+        return values
 
 
 def generate_synthetic(spec: SynthSpec) -> Dataset:
@@ -286,9 +306,7 @@ def ground_truth_frequency(
     while done < oracle_days:
         n = min(chunk_days, oracle_days - done)
         doy = (done + np.arange(n)) % DAYS_PER_YEAR + 1
-        values = spec.sample_days(rng, doy)
-        idx = N_LOCATIONS - target.rank
-        y = np.partition(values, idx, axis=1)[:, idx]
+        y = rankth_largest(spec.sample_days(rng, doy), target.rank)
         if target.consecutive:
             if prev_y_last is not None:
                 y_full = np.concatenate([[prev_y_last], y])

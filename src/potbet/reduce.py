@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ingest import Dataset, N_LOCATIONS
+from .ingest import Dataset, N_LOCATIONS, rankth_largest
 
 _CANONICAL = {
     "T1": (25, 1.7, False),
@@ -117,18 +117,13 @@ def empirical_quantile(y: np.ndarray, p: float) -> float:
     return float(np.partition(y, k - 1)[k - 1])
 
 
-def _rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:
-    idx = N_LOCATIONS - rank  # ascending-sorted position of the rank-th largest
-    return np.partition(values, idx, axis=1)[:, idx]
-
-
 def reduce_target(data: Dataset, spec: TargetSpec) -> UnivariateTarget:
     """Reduce each day's 25 values to the target's order statistic.
 
     For consecutive targets, pairs (t, t+1) are formed within each run only
     and the day label is that of the pair's first day.
     """
-    stats = [_rankth_largest(run.values, spec.rank) for run in data.runs]
+    stats = [rankth_largest(run.values, spec.rank) for run in data.runs]
     if not spec.consecutive:
         return UnivariateTarget(target_id=spec.target_id, y=np.concatenate(stats),
                                 d=data.concat_days())

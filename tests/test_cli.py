@@ -476,6 +476,14 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == "error: targets repeats ['T2']\n"
         assert not (tmp_path / "out").exists()
 
+    def test_reduce_repeated_target_flag_exits_2(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        rc = main(["reduce", "--config", str(cfg),
+                   "--target", "T1", "--target", "T2", "--target", "T2"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: targets repeats ['T2']\n")
+        assert not (tmp_path / "out").exists()
+
     def test_default_config_hash_is_pinned(self):
         # every output's first line carries this hash: a default or a field
         # that drifts changes every file

@@ -1,6 +1,7 @@
 """Tests for panel loading, validation and the synthetic generator."""
 
 import functools
+import hashlib
 import tempfile
 import warnings
 from pathlib import Path
@@ -21,7 +22,7 @@ from potbet import (
     write_dataset,
 )
 from potbet import ingest
-from potbet.ingest import CSV_HEADER, IngestError
+from potbet.ingest import CSV_HEADER, IngestError, rankth_largest
 
 
 def small_spec(**kw):
@@ -320,6 +321,35 @@ class TestSynthetic:
         expected = p_oracle * data.n_total
         assert abs(hits - expected) < 5 * np.sqrt(expected)
 
+    def test_sample_days_is_the_loaded_factor_plus_noise(self):
+        # the law written out as it was first drawn, on a twin generator
+        spec = SynthSpec(seasonal_amplitude=0.3, tail_scale=2.5,
+                         spatial_loading=np.linspace(0.2, 1.0, 25))
+        doy = np.arange(3 * 365) % 365 + 1
+        got = spec.sample_days(np.random.default_rng(21), doy)
+        twin = np.random.default_rng(21)
+        s = 2.5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * doy / 365))
+        z = s * twin.exponential(size=doy.size)
+        noise = twin.exponential(size=(doy.size, 25))
+        expected = spec.spatial_loading[None, :] * z[:, None] + noise
+        assert got.tobytes() == expected.tobytes()
+        # and drew as much: the next draw of the caller's rng is unchanged
+        rng = np.random.default_rng(21)
+        spec.sample_days(rng, doy)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("spec, digest", [
+        (SynthSpec(n_runs=2, years_per_run=1, seed=0),
+         "f11dd3b6e46b84423a69a9ccec5c552afaee06d146a5018702fe65ba20c0ea59"),
+        (SynthSpec(n_runs=2, years_per_run=1, seed=5, seasonal_amplitude=0.3,
+                   tail_scale=2.5, spatial_loading=np.linspace(0.2, 1.0, 25)),
+         "f8b7061d1480112202ae9abae3c451fdf7ea5578fdac7b33bc47e68afc6eb410"),
+    ], ids=["default-law", "non-unit-loading"])
+    def test_generated_bytes_are_pinned(self, spec, digest):
+        # the synthetic stream every fixture and oracle rests on
+        values = generate_synthetic(spec).concat_values()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(tail_scale=0.0)
@@ -327,6 +357,24 @@ class TestSynthetic:
             SynthSpec(seasonal_amplitude=-0.1)
         with pytest.raises(ValueError):
             SynthSpec(spatial_loading=np.full(25, 1.5))
+
+
+_ROW_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                        st.floats(0.0, 1e6))
+
+
+class TestRankthLargest:
+    @given(rows=st.lists(st.lists(_ROW_VALUES, min_size=25, max_size=25),
+                         min_size=1, max_size=12),
+           n_zero_rows=st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_sorted_row_at_every_rank(self, rows, n_zero_rows):
+        # small value pools give ties; all-zero rows tie across the row
+        values = np.array(rows + [[0.0] * 25] * n_zero_rows)
+        ascending = np.sort(values, axis=1)
+        for rank in range(1, 26):
+            got = rankth_largest(values, rank)
+            assert got.tobytes() == ascending[:, 25 - rank].tobytes(), rank
 
 
 class TestGroundTruthOracle:
