@@ -29,14 +29,13 @@ _N_COLUMNS = 3 + N_LOCATIONS
 def rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:
     """Each row's rank-th largest of its N_LOCATIONS values (1 = max, 25 = min).
 
-    Ranks 25 and 1 take one `min` or `max` pass; the other ranks a
-    partition.  Either way the result is an element of its row, so every
-    rank gives the same bits as the sorted row's entry.
+    Rank 25 takes one `min` pass; the other ranks a partition.  Either way
+    the result is an element of its row equal to the sorted row's entry.
+    Only a tie between 0.0 and -0.0 (which a CSV panel may hold) leaves the
+    sign of the zero returned unspecified, as it is for the partition.
     """
     if rank == N_LOCATIONS:
         return values.min(axis=1)
-    if rank == 1:
-        return values.max(axis=1)
     idx = N_LOCATIONS - rank  # ascending-sorted position of the rank-th largest
     return np.partition(values, idx, axis=1)[:, idx]
 
