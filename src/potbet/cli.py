@@ -11,7 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,37 +19,19 @@ import numpy as np
 from . import betting, estimate, ingest, potmodel
 from . import reduce as reduce_mod
 
-# the JSON values a field of each annotated type accepts
-_JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
-               "bool": bool, "str": str, "np.ndarray": list}
-# the annotated type of each element of a list field
-_ITEM_TYPES = {"k_list": "int", "level_grid": "float", "targets": "str",
-               "data_paths": "str", "spatial_loading": "float"}
-
-
-def _is_json(value, type_name: str) -> bool:
-    # a bool is an int in Python, but never a number in a config
-    expected = _JSON_TYPES[type_name]
-    return isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+# the JSON type of each list field of a config or a synth block
+_LIST_TYPES = {"k_list": "list of int", "level_grid": "list of float",
+               "targets": "list of str", "data_paths": "list of str",
+               "spatial_loading": "list of float"}
 
 
 def _check_json(cls, obj: dict, what: str) -> None:
     """ValueError unless each key of obj names a field of the dataclass cls
     and holds a JSON value of its type (null only where the default is None)."""
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {unknown}")
-    for key, value in obj.items():
-        f = known[key]
-        if value is None and f.default is None:
-            continue
-        if not _is_json(value, f.type):
-            raise ValueError(f"{what} key {key!r} must be {f.type}, got {value!r}")
-        item = _ITEM_TYPES.get(key)
-        if item and not all(_is_json(v, item) for v in value):
-            raise ValueError(f"{what} key {key!r} must be a list of {item}, "
-                             f"got {value!r}")
+    known = fields(cls)
+    nullable = {f.name for f in known if f.default is None}
+    ingest.check_json({k: v for k, v in obj.items() if v is not None or k not in nullable},
+                      {f.name: _LIST_TYPES.get(f.name, f.type) for f in known}, what)
 
 
 def _check_unique(key: str, values: list) -> None:
@@ -113,18 +95,14 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def game_config(self, k: int) -> betting.GameConfig:
-        return betting.GameConfig(
-            K=k, alpha=self.alpha, clip=self.clip,
-            level_grid=tuple(self.level_grid), max_level=self.max_level,
-            seed=self.seed, n_basis=self.n_basis,
-        )
+        return betting.GameConfig(K=k, **self._shared(betting.GameConfig))
 
     def estimate_config(self) -> estimate.EstimateConfig:
-        return estimate.EstimateConfig(
-            n_replications=self.n_replications, total_runs=self.total_runs,
-            given_runs=self.given_runs, years=self.years,
-            confidence=self.confidence, seed=self.seed,
-        )
+        return estimate.EstimateConfig(**self._shared(estimate.EstimateConfig))
+
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields of the dataclass cls it also has."""
+        return {f.name: vars(self)[f.name] for f in fields(cls) if f.name in vars(self)}
 
     def synth_spec(self, **overrides) -> ingest.SynthSpec:
         """The synth fields over the config's seed, then the overrides that
@@ -135,13 +113,9 @@ class PipelineConfig:
         return ingest.SynthSpec(**synth)
 
 
-def _comment(cfg: PipelineConfig) -> str:
-    return f"seed={cfg.seed} config_hash={cfg.config_hash()}"
-
-
 def _write_csv(path, cfg: PipelineConfig, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {_comment(cfg)}\n")
+        fh.write(f"# seed={cfg.seed} config_hash={cfg.config_hash()}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(str(x) for x in row) + "\n")
@@ -155,17 +129,28 @@ SCORES_HEADER = "target_id,K,p,terminal_wealth,rejected,rejection_round,seed"
 ANSWER_HEADER = "target_id,point,ci_lo,ci_hi,confidence_achieved,lambda,N,seed"
 
 
-def _open(cfg: PipelineConfig):
-    """Load the config's data and create its output directory."""
+def _load(cfg: PipelineConfig) -> ingest.Dataset:
+    """The config's data: its files, or else its synthetic panel."""
     if cfg.data_paths:
-        data = ingest.load_dataset(cfg.data_paths)
-    elif cfg.synth is None:
+        return ingest.load_dataset(cfg.data_paths)
+    if cfg.synth is None:
         raise ValueError("config needs data_paths or a synth spec")
-    else:
-        data = ingest.generate_synthetic(cfg.synth_spec())
+    return ingest.generate_synthetic(cfg.synth_spec())
+
+
+def _check_panel(cfg: PipelineConfig, data: ingest.Dataset) -> None:
+    """ValueError unless data holds given_runs runs of `years` years each:
+    the panel whose event count the estimate scales to total_runs."""
+    years = [run.n_days // ingest.DAYS_PER_YEAR for run in data.runs]
+    if years != [cfg.years] * cfg.given_runs:
+        raise ValueError(f"data holds runs of {years} years, but the config has "
+                         f"given_runs {cfg.given_runs} and years {cfg.years}")
+
+
+def _outdir(cfg: PipelineConfig) -> Path:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    return data, outdir
+    return outdir
 
 
 def _select(cfg, outdir, target, k, fits=None) -> betting.LevelSelection:
@@ -231,7 +216,9 @@ def _emit_poisson_plot(outdir, cfg, tid, est):
 
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Full pipeline for every configured target; returns per-target summaries."""
-    data, outdir = _open(cfg)
+    data = _load(cfg)
+    _check_panel(cfg, data)
+    outdir = _outdir(cfg)
     report = {}
     errors = {}
     answer_rows = []
@@ -276,39 +263,34 @@ def _build_config(args, **overrides) -> PipelineConfig:
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
     overrides.update(seed=args.seed, out_dir=args.out,
                      data_paths=getattr(args, "data", None))
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.__post_init__()
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _prologue(args):
     """Config, data and output directory of a stage subcommand."""
     cfg = _build_config(args)
-    return (cfg, *_open(cfg))
+    return cfg, _load(cfg), _outdir(cfg)
 
 
 def _model_prologue(args):
-    """Config, output directory, model, spec and target of a model subcommand;
-    the model must be of the kind fit_pot_model gives its target."""
-    cfg, data, outdir = _prologue(args)
+    """Config, data, model, spec and target of a model subcommand; the
+    model must be of the kind fit_pot_model gives its target."""
+    cfg = _build_config(args)
+    data = _load(cfg)
     model = potmodel.PotModel.from_json(Path(args.model).read_text())
     spec = reduce_mod.TargetSpec.canonical(model.target_id)
     target = reduce_mod.reduce_target(data, spec)
     kind = potmodel.model_kind(target)
     if model.kind != kind:
         raise ValueError(f"a {spec.target_id} model must be {kind!r}, got {model.kind!r}")
-    return cfg, outdir, model, spec, target
+    return cfg, data, model, spec, target
 
 
 def _cmd_synth(args) -> int:
     cfg = _build_config(args)
-    data = ingest.generate_synthetic(cfg.synth_spec(
-        n_runs=args.runs, years_per_run=args.years,
-        seasonal_amplitude=args.amplitude, tail_scale=args.tail_scale))
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    data = ingest.generate_synthetic(cfg.synth_spec(n_runs=args.runs,
+                                                    years_per_run=args.years))
+    outdir = _outdir(cfg)
     paths = [outdir / f"run_{r.run_id:02d}.csv" for r in data.runs]
     ingest.write_dataset(data, paths)
     for p in paths:
@@ -352,15 +334,17 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg, outdir, model, spec, target = _model_prologue(args)
+    cfg, data, model, spec, target = _model_prologue(args)
+    _check_panel(cfg, data)
     est, row = _estimate(cfg, target, spec, model)
-    _write_csv(outdir / "answer.csv", cfg, ANSWER_HEADER, [row])
+    _write_csv(_outdir(cfg) / "answer.csv", cfg, ANSWER_HEADER, [row])
     print(f"{model.target_id}: point={est.point} ci=[{est.ci_lo}, {est.ci_hi}]")
     return 0
 
 
 def _cmd_report(args) -> int:
-    cfg, outdir, model, spec, target = _model_prologue(args)
+    cfg, _, model, spec, target = _model_prologue(args)
+    outdir = _outdir(cfg)
     _emit_plot_data(outdir, cfg, target, model)
     print(outdir)
     return 0
@@ -390,8 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, data=False)
     sp.add_argument("--runs", type=int)
     sp.add_argument("--years", type=int)
-    sp.add_argument("--amplitude", type=float)
-    sp.add_argument("--tail-scale", type=float, dest="tail_scale")
     sp.set_defaults(func=_cmd_synth)
 
     sp = sub.add_parser("reduce", help="reduce runs to univariate target series")

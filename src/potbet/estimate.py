@@ -44,10 +44,6 @@ class EstimateConfig:
         if self.years < 1:
             raise ValueError("years must be >= 1")
 
-    @property
-    def unseen_runs(self) -> int:
-        return self.total_runs - self.given_runs
-
 
 @dataclass
 class FrequencyEstimate:
@@ -182,7 +178,7 @@ def estimate_frequency(
         )
     if observed_count < 0:
         raise ValueError("observed_count must be >= 0")
-    unseen_days = cfg.unseen_runs * cfg.years * DAYS_PER_YEAR
+    unseen_days = (cfg.total_runs - cfg.given_runs) * cfg.years * DAYS_PER_YEAR
     m = int(math.ceil((1.0 - model.p) * unseen_days))
     pi = exceedance_probability(model, spec.event_threshold)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))

@@ -44,6 +44,30 @@ class IngestError(ValueError):
     """Raised for malformed or invalid input files."""
 
 
+# the JSON values a value of each type name takes
+_JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
+               "bool": bool, "str": str}
+
+
+def is_json(value, type_name: str) -> bool:
+    # a bool is an int in Python, but never a number in a JSON file
+    expected = _JSON_TYPES[type_name]
+    return isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+
+
+def check_json(obj: dict, types: dict, what: str) -> None:
+    """ValueError unless each key of obj is a key of types and holds a JSON
+    value of the type named there; "list of T" takes a list of T values."""
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    for key, value in obj.items():
+        outer, _, item = types[key].partition(" of ")
+        if not is_json(value, outer) or (item and not all(is_json(v, item) for v in value)):
+            rule = f"a {types[key]}" if item else types[key]
+            raise ValueError(f"{what} key {key!r} must be {rule}, got {value!r}")
+
+
 @dataclass
 class GridRun:
     """One climate run: daily precipitation at 25 locations."""
@@ -279,8 +303,6 @@ class OracleFrequency:
 
     events_per_run: float
     stderr: float
-    oracle_days: int
-    run_days: int
 
 
 def ground_truth_frequency(
@@ -319,7 +341,4 @@ def ground_truth_frequency(
         done += n
     per_run = count / oracle_days * run_days
     stderr = math.sqrt(max(count, 1)) / oracle_days * run_days
-    return OracleFrequency(
-        events_per_run=per_run, stderr=stderr,
-        oracle_days=oracle_days, run_days=run_days,
-    )
+    return OracleFrequency(events_per_run=per_run, stderr=stderr)

@@ -14,13 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ingest import DAYS_PER_YEAR
+from .ingest import DAYS_PER_YEAR, check_json, is_json
 from .reduce import (MIN_QQ_VALUES, ExceedanceSet, InsufficientDataError,
                      UnivariateTarget, empirical_quantile, exceedances)
 
 SQRT50 = math.sqrt(50.0)
 
 DEFAULT_N_BASIS = 10
+
+# the JSON type of each key of a model file; older files may also carry
+# knots, which is derived from n_basis, and shape, which must be 0
+MODEL_KEYS = {"target_id": "str", "p": "float", "q": "float", "n_basis": "int",
+              "coefficients": "list of float", "floor": "float", "day_pool": "list of int",
+              "kind": "str", "knots": "list of float", "shape": "float"}
 
 
 class LevelTooHighError(ValueError):
@@ -210,9 +216,8 @@ class PotModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PotModel":
-        """Load ``to_json`` output; p must be a number in (0, 1), and q and
-        floor finite numbers.  Older files may also carry ``knots``, which
-        is derived from n_basis, and ``shape``, which must be 0."""
+        """Load ``to_json`` output; every key holds its MODEL_KEYS type, p is
+        a number in (0, 1), and q and floor are finite numbers."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("model JSON must be an object")
@@ -221,19 +226,15 @@ class PotModel:
         try:
             for key in ("p", "q", "floor"):
                 v = obj[key]
-                number = isinstance(v, (int, float)) and not isinstance(v, bool)
-                if not (number and math.isfinite(v) and (key != "p" or 0.0 < v < 1.0)):
+                if not (is_json(v, "float") and math.isfinite(v)
+                        and (key != "p" or 0.0 < v < 1.0)):
                     rule = "a number in (0, 1)" if key == "p" else "a finite number"
                     raise ValueError(f"model key {key!r} must be {rule}, got {v!r}")
-            scale = CyclicScale(
-                n_basis=obj["n_basis"],
-                coefficients=np.array(obj["coefficients"]),
-                floor=obj["floor"],
-            )
-            return cls(
-                target_id=obj["target_id"], p=obj["p"], q=obj["q"], scale=scale,
-                day_pool=np.array(obj["day_pool"]), kind=obj["kind"],
-            )
+            check_json(obj, MODEL_KEYS, "model")
+            scale = CyclicScale(n_basis=obj["n_basis"], coefficients=obj["coefficients"],
+                                floor=obj["floor"])
+            return cls(target_id=obj["target_id"], p=obj["p"], q=obj["q"], scale=scale,
+                       day_pool=obj["day_pool"], kind=obj["kind"])
         except KeyError as exc:
             raise ValueError(f"model JSON lacks the key {exc}") from None
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import potbet
-from potbet import estimate, potmodel
+from potbet import betting, estimate, potmodel
 from potbet.cli import PipelineConfig, build_parser, main, run_pipeline
 
 # JSON values of every type, and for each annotated config type the ones it takes
@@ -225,6 +225,16 @@ class TestEstimate:
         ("q", "1.0", "model key 'q' must be a finite number, got '1.0'"),
         ("q", float("nan"), "model key 'q' must be a finite number, got nan"),
         ("floor", "1e-6", "model key 'floor' must be a finite number, got '1e-6'"),
+        ("n_basis", 10.0, "model key 'n_basis' must be int, got 10.0"),
+        ("target_id", ["T2"], "model key 'target_id' must be str, got ['T2']"),
+        ("kind", None, "model key 'kind' must be str, got None"),
+        ("coefficients", None, "model key 'coefficients' must be a list of float, got None"),
+        ("coefficients", ["1.0"] * 10,
+         "model key 'coefficients' must be a list of float, got ['1.0', '1.0'"),
+        ("coefficients", [True] * 10,
+         "model key 'coefficients' must be a list of float, got [True, True"),
+        ("day_pool", [1, 2.0], "model key 'day_pool' must be a list of int, got [1, 2.0]"),
+        ("fits", {}, "unknown model keys: ['fits']"),
     ])
     def test_bad_target_or_kind_exits_2(self, tmp_path, capsys, command, key,
                                          value, message):
@@ -483,6 +493,51 @@ class TestConfigAndErrors:
         assert rc == 2
         assert capsys.readouterr() == ("", "error: targets repeats ['T2']\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [{"years": 165}, {"given_runs": 3}])
+    def test_panel_unlike_years_and_given_runs_exits_2(self, tmp_path, capsys, extra):
+        # the estimate scales the count of given_runs runs of `years` years:
+        # another panel would answer for the wrong number of days
+        fitted = tmp_path / "fitted"
+        assert main(["fit", "--config", str(small_config(tmp_path)), "--target", "T2",
+                     "--p", "0.95", "--out", str(fitted)]) == 0
+        cfg = small_config(tmp_path, **extra)
+        given, years = extra.get("given_runs", 4), extra.get("years", 25)
+        message = ("error: data holds runs of [25, 25, 25, 25] years, but the config has "
+                   f"given_runs {given} and years {years}\n")
+        for argv in (["run"], ["estimate", "--model", str(fitted / "model_T2.json")]):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(cfg)]) == 2
+            assert capsys.readouterr() == ("", message)
+            assert not (tmp_path / "out").exists()  # rejected before any output
+
+    def test_stage_configs_copy_the_shared_fields_by_name(self):
+        cfg = PipelineConfig(level_grid=[0.99, 0.9], max_level=0.995, alpha=0.1, clip=0.5,
+                             seed=7, n_basis=6, n_replications=200, total_runs=40,
+                             given_runs=3, years=20, confidence=0.9)
+        game, est = cfg.game_config(4), cfg.estimate_config()
+        # every shared field differs from its default, so none is left out unseen
+        for stage in (game, est):
+            for f in dataclasses.fields(stage):
+                assert f.name == "K" or getattr(stage, f.name) != f.default, f.name
+        assert game == betting.GameConfig(
+            K=4, alpha=cfg.alpha, clip=cfg.clip,
+            level_grid=tuple(cfg.level_grid), max_level=cfg.max_level,
+            seed=cfg.seed, n_basis=cfg.n_basis,
+        )
+        assert est == estimate.EstimateConfig(
+            n_replications=cfg.n_replications, total_runs=cfg.total_runs,
+            given_runs=cfg.given_runs, years=cfg.years,
+            confidence=cfg.confidence, seed=cfg.seed,
+        )
+
+    @pytest.mark.parametrize("flag", ["--amplitude", "--tail-scale"])
+    def test_synth_has_no_generator_flags(self, tmp_path, capsys, flag):
+        # the synth block's seasonal_amplitude and tail_scale keys set these
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path), flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_default_config_hash_is_pinned(self):
         # every output's first line carries this hash: a default or a field
