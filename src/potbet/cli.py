@@ -64,8 +64,9 @@ class PipelineConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if not self.k_list:
-            raise ValueError("k_list must be non-empty")
+        for key in ("targets", "k_list"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be non-empty")
         for key in ("targets", "k_list", "level_grid"):
             _check_unique(key, getattr(self, key))
         unknown = [t for t in self.targets if t not in reduce_mod.TARGET_IDS]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -50,9 +51,11 @@ _JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
 
 
 def is_json(value, type_name: str) -> bool:
-    # a bool is an int in Python, but never a number in a JSON file
+    # a bool is an int in Python, but never a number in a JSON file; a float
+    # is a finite double (NaN fails the test, and a huge int is compared exactly)
     expected = _JSON_TYPES[type_name]
-    return isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+    return (isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
+            and (type_name != "float" or abs(value) <= sys.float_info.max))
 
 
 def check_json(obj: dict, types: dict, what: str) -> None:
@@ -68,40 +71,40 @@ def check_json(obj: dict, types: dict, what: str) -> None:
             raise ValueError(f"{what} key {key!r} must be {rule}, got {value!r}")
 
 
+def calendar(n_days: int, first: int = 0) -> np.ndarray:
+    """The day-of-year labels (1..365) of days first .. first + n_days - 1
+    of a run, whose day 0 is the first day of a year."""
+    return (first + np.arange(n_days)) % DAYS_PER_YEAR + 1
+
+
 @dataclass
 class GridRun:
-    """One climate run: daily precipitation at 25 locations."""
+    """One climate run: daily precipitation at 25 locations over whole
+    years, so its day-of-year labels are the calendar of its length."""
 
     run_id: int
-    day_of_year: np.ndarray  # int, values in 1..365
-    values: np.ndarray       # (n_days, 25), non-negative
+    values: np.ndarray  # (n_days, 25), non-negative
+    day_of_year: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.day_of_year = np.asarray(self.day_of_year, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        n = self.n_days
-        if self.values.ndim != 2 or self.values.shape != (n, N_LOCATIONS):
+        if self.values.ndim != 2 or self.values.shape[1] != N_LOCATIONS:
             raise IngestError(
-                f"run {self.run_id}: values must be ({n}, {N_LOCATIONS}), "
+                f"run {self.run_id}: values must be (n_days, {N_LOCATIONS}), "
                 f"got {self.values.shape}"
             )
+        n = self.n_days
         if n % DAYS_PER_YEAR != 0:
             raise IngestError(
                 f"run {self.run_id}: {n} days is not a multiple of {DAYS_PER_YEAR}"
             )
-        if self.day_of_year.min(initial=1) < 1 or self.day_of_year.max(initial=365) > 365:
-            raise IngestError(f"run {self.run_id}: day_of_year outside 1..365")
-        expected = np.arange(n) % DAYS_PER_YEAR + 1
-        if not np.array_equal(self.day_of_year, expected):
-            raise IngestError(
-                f"run {self.run_id}: day_of_year must cycle 1..365 from day 1"
-            )
         if not np.all(np.isfinite(self.values)) or self.values.min(initial=0.0) < 0:
             raise IngestError(f"run {self.run_id}: values must be finite and >= 0")
+        self.day_of_year = calendar(n)
 
     @property
     def n_days(self) -> int:
-        return len(self.day_of_year)
+        return len(self.values)
 
 
 @dataclass
@@ -179,10 +182,8 @@ class SynthSpec:
 def generate_synthetic(spec: SynthSpec) -> Dataset:
     """Generate a Dataset from the seasonal latent-factor model, seed-deterministic."""
     rng = np.random.default_rng(spec.seed)
-    doy = np.arange(spec.years_per_run * DAYS_PER_YEAR) % DAYS_PER_YEAR + 1
-    runs = [GridRun(run_id=r, day_of_year=doy.copy(), values=spec.sample_days(rng, doy))
-            for r in range(spec.n_runs)]
-    return Dataset(runs=runs)
+    doy = calendar(spec.years_per_run * DAYS_PER_YEAR)
+    return Dataset([GridRun(r, spec.sample_days(rng, doy)) for r in range(spec.n_runs)])
 
 
 def load_dataset(paths: list) -> Dataset:
@@ -234,21 +235,16 @@ def _load_run(path) -> GridRun:
         or rows.size == 0
         or np.any(rows["run_id"] != rows["run_id"][0])
         or not np.array_equal(rows["day_index"], np.arange(1, rows.size + 1))
-        or np.any((rows["day_of_year"] < 1) | (rows["day_of_year"] > 365))
+        or not np.array_equal(rows["day_of_year"], calendar(rows.size))
     ):
         return _load_run_by_line(path)
-    return GridRun(
-        run_id=int(rows["run_id"][0]),
-        day_of_year=np.ascontiguousarray(rows["day_of_year"]),
-        values=np.ascontiguousarray(rows["values"]),
-    )
+    return GridRun(int(rows["run_id"][0]), np.ascontiguousarray(rows["values"]))
 
 
 def _load_run_by_line(path) -> GridRun:
     """Parse and check one run line by line, naming the file and line at fault."""
     with _open_data_rows(path) as fh:
         run_id = None
-        days = []
         rows = []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -276,13 +272,15 @@ def _load_run_by_line(path) -> GridRun:
                 raise IngestError(
                     f"{path}:{lineno}: day_index {day_index}, expected {len(rows) + 1}"
                 )
-            if not 1 <= doy <= 365:
-                raise IngestError(f"{path}:{lineno}: day_of_year {doy} outside 1..365")
-            days.append(doy)
+            expected = len(rows) % DAYS_PER_YEAR + 1  # the calendar's label
+            if doy != expected:
+                raise IngestError(
+                    f"{path}:{lineno}: day_of_year {doy}, expected {expected}"
+                )
             rows.append(vals)
     if run_id is None:
         raise IngestError(f"{path}: no data rows")
-    return GridRun(run_id=run_id, day_of_year=np.array(days), values=np.array(rows))
+    return GridRun(run_id=run_id, values=np.array(rows))
 
 
 def write_dataset(data: Dataset, paths: list) -> None:
@@ -323,21 +321,15 @@ def ground_truth_frequency(
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x0AC1E]))
     count = 0
     done = 0
-    prev_y_last = None  # last day's order statistic, for consecutive targets
+    carry = np.empty(0)  # the previous chunk's last statistic, for consecutive targets
     while done < oracle_days:
         n = min(chunk_days, oracle_days - done)
-        doy = (done + np.arange(n)) % DAYS_PER_YEAR + 1
-        y = rankth_largest(spec.sample_days(rng, doy), target.rank)
+        y = rankth_largest(spec.sample_days(rng, calendar(n, done)), target.rank)
         if target.consecutive:
-            if prev_y_last is not None:
-                y_full = np.concatenate([[prev_y_last], y])
-            else:
-                y_full = y
-            pair_min = np.minimum(y_full[:-1], y_full[1:])
-            count += int(np.sum(pair_min >= target.event_threshold))
-            prev_y_last = y[-1]
-        else:
-            count += int(np.sum(y >= target.event_threshold))
+            y = np.concatenate([carry, y])
+            carry = y[-1:]
+            y = np.minimum(y[:-1], y[1:])  # each day's pair with the day before
+        count += int(np.sum(y >= target.event_threshold))
         done += n
     per_run = count / oracle_days * run_days
     stderr = math.sqrt(max(count, 1)) / oracle_days * run_days

@@ -226,8 +226,7 @@ class PotModel:
         try:
             for key in ("p", "q", "floor"):
                 v = obj[key]
-                if not (is_json(v, "float") and math.isfinite(v)
-                        and (key != "p" or 0.0 < v < 1.0)):
+                if not (is_json(v, "float") and (key != "p" or 0.0 < v < 1.0)):
                     rule = "a number in (0, 1)" if key == "p" else "a finite number"
                     raise ValueError(f"model key {key!r} must be {rule}, got {v!r}")
             check_json(obj, MODEL_KEYS, "model")

@@ -235,6 +235,10 @@ class TestEstimate:
          "model key 'coefficients' must be a list of float, got [True, True"),
         ("day_pool", [1, 2.0], "model key 'day_pool' must be a list of int, got [1, 2.0]"),
         ("fits", {}, "unknown model keys: ['fits']"),
+        ("coefficients", [float("nan")] * 10,
+         "model key 'coefficients' must be a list of float, got [nan, nan"),
+        pytest.param("q", 10**400, "model key 'q' must be a finite number, got 1000000000",
+                     id="q-int-beyond-double"),
     ])
     def test_bad_target_or_kind_exits_2(self, tmp_path, capsys, command, key,
                                          value, message):
@@ -468,6 +472,11 @@ class TestConfigAndErrors:
         ({"targets": ["T2", "T2"]}, "targets repeats ['T2']"),
         ({"k_list": [3, 5, 3]}, "k_list repeats [3]"),
         ({"level_grid": [0.9, 0.99, 0.9]}, "level_grid repeats [0.9]"),
+        ({"synth": {"tail_scale": 10**400}},
+         "synth key 'tail_scale' must be float, got 1000000000"),
+        ({"synth": {"spatial_loading": [float("nan")] + [1.0] * 24}},
+         "synth key 'spatial_loading' must be a list of float, got [nan, 1.0"),
+        ({"targets": []}, "targets must be non-empty"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

@@ -43,6 +43,21 @@ class TestValidation:
         with pytest.raises(IngestError, match="day_of_year"):
             load_dataset([path])
 
+    @pytest.mark.parametrize("labels,message", [
+        ([*range(1, 201), 202, 201, *range(203, 366)], "202: day_of_year 202, expected 201"),
+        ([*range(2, 366), 1], "2: day_of_year 2, expected 1"),
+    ], ids=["adjacent-rows-swapped", "starts-on-day-2"])
+    def test_day_of_year_off_the_calendar_names_file_and_line(self, tmp_path, labels,
+                                                               message):
+        # every label lies in 1..365, but not where the calendar puts it
+        path = tmp_path / "bad.csv"
+        vals = ",".join(["0.0"] * 25)
+        lines = [CSV_HEADER] + [f"1,{i},{doy},{vals}" for i, doy in enumerate(labels, 1)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError) as info:
+            load_dataset([path])
+        assert str(info.value) == f"{path}:{message}"
+
     def test_wrong_column_count_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n1,1,1," + ",".join(["0.0"] * 24) + "\n")
@@ -58,8 +73,7 @@ class TestValidation:
 
     def test_non_multiple_of_365_rejected(self):
         with pytest.raises(IngestError, match="multiple of 365"):
-            GridRun(run_id=0, day_of_year=np.arange(1, 101),
-                    values=np.zeros((100, 25)))
+            GridRun(run_id=0, values=np.zeros((100, 25)))
 
     def test_duplicate_run_ids_rejected(self):
         run = generate_synthetic(small_spec()).runs[0]
@@ -70,7 +84,7 @@ class TestValidation:
         values = np.zeros((365, 25))
         values[10, 3] = -0.5
         with pytest.raises(IngestError, match=">= 0"):
-            GridRun(run_id=0, day_of_year=np.arange(365) % 365 + 1, values=values)
+            GridRun(run_id=0, values=values)
 
 
 class TestRoundTrip:
@@ -94,8 +108,7 @@ class TestRoundTrip:
             assert f.read_bytes() == s.read_bytes()
 
     def test_all_zero_year(self, tmp_path):
-        run = GridRun(run_id=1, day_of_year=np.arange(365) % 365 + 1,
-                      values=np.zeros((365, 25)))
+        run = GridRun(run_id=1, values=np.zeros((365, 25)))
         path = tmp_path / "zero.csv"
         write_dataset(Dataset(runs=[run]), [path])
         loaded = load_dataset([path])
@@ -151,7 +164,7 @@ _CORRUPTIONS = (
     "truncate_row", "truncate_file", "extra_column", "missing_column",
     "value", "int_spelling", "run_id_changed", "run_id_everywhere",
     "day_index_changed", "skip_row", "repeat_row", "day_of_year_out",
-    "blank_line", "whitespace_line", "header_only",
+    "blank_line", "whitespace_line", "header_only", "day_of_year_swap",
 )
 
 
@@ -205,6 +218,12 @@ def _csv_files(draw):
             lines.insert(draw(st.integers(1, n + 1)), draw(st.sampled_from([" ", "\t"])))
         elif kind == "header_only":
             lines = lines[:1]
+        elif kind == "day_of_year_swap" and i < n:
+            # two adjacent labels trade places: each stays in 1..365
+            after = lines[i + 1].split(",")
+            if len(fields) > 2 and len(after) > 2:
+                fields[2], after[2] = after[2], fields[2]
+                lines[i], lines[i + 1] = ",".join(fields), ",".join(after)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     final = newline if draw(st.booleans()) else ""
     return (newline.join(lines) + final).encode("utf-8")

@@ -27,7 +27,7 @@ def panel_from_values(values):
     n = len(values)
     full = np.zeros((365, 25))
     full[:n] = values
-    run = GridRun(run_id=0, day_of_year=np.arange(365) % 365 + 1, values=full)
+    run = GridRun(run_id=0, values=full)
     return Dataset(runs=[run])
 
 
@@ -80,9 +80,7 @@ class TestOrderStatistics:
         data = generate_synthetic(SynthSpec(n_runs=1, years_per_run=1, seed=2))
         rng = np.random.default_rng(3)
         perm = rng.permutation(25)
-        shuffled = Dataset(runs=[GridRun(
-            run_id=0, day_of_year=data.runs[0].day_of_year,
-            values=data.runs[0].values[:, perm])])
+        shuffled = Dataset(runs=[GridRun(run_id=0, values=data.runs[0].values[:, perm])])
         for tid in ("T1", "T2", "T3"):
             spec = TargetSpec.canonical(tid)
             assert np.array_equal(reduce_target(data, spec).y,
