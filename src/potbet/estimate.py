@@ -43,6 +43,8 @@ class EstimateConfig:
             raise ValueError("need 0 <= given_runs < total_runs")
         if self.years < 1:
             raise ValueError("years must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -52,10 +52,12 @@ _JSON_TYPES = {"list": list, "dict": dict, "int": int, "float": (int, float),
 
 def is_json(value, type_name: str) -> bool:
     # a bool is an int in Python, but never a number in a JSON file; a float
-    # is a finite double (NaN fails the test, and a huge int is compared exactly)
+    # is a finite double (NaN fails the test, and a huge int is compared
+    # exactly) and an int a signed 64-bit integer
     expected = _JSON_TYPES[type_name]
     return (isinstance(value, expected) and isinstance(value, bool) == (expected is bool)
-            and (type_name != "float" or abs(value) <= sys.float_info.max))
+            and (type_name != "float" or abs(value) <= sys.float_info.max)
+            and (type_name != "int" or -2**63 <= value < 2**63))
 
 
 def check_json(obj: dict, types: dict, what: str) -> None:
@@ -153,6 +155,8 @@ class SynthSpec:
         self.spatial_loading = np.asarray(self.spatial_loading, dtype=np.float64)
         if self.n_runs < 1 or self.years_per_run < 1:
             raise ValueError("n_runs and years_per_run must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.seasonal_amplitude < 0:
             raise ValueError("seasonal_amplitude must be >= 0")
         if self.tail_scale <= 0:

@@ -192,7 +192,7 @@ class PotModel:
 
     def __post_init__(self):
         pool = np.asarray(self.day_pool)
-        if not (pool.ndim == 1 and np.issubdtype(pool.dtype, np.integer)
+        if not (pool.ndim == 1 and pool.size > 0 and np.issubdtype(pool.dtype, np.integer)
                 and np.all((pool >= 1) & (pool <= DAYS_PER_YEAR))):
             raise ValueError(f"day_pool must be integer days of year in 1..{DAYS_PER_YEAR}")
         self.day_pool = pool.astype(np.int64)
@@ -268,29 +268,32 @@ def fit_pot_model(
 # min(sin T, cos T) <= sqrt(2)/2 = 0.70710678..., so base * ANGULAR_BOUND is
 # an upper bound on an angular draw (rounding is monotone, so also in floats)
 ANGULAR_BOUND = 0.7072
-# sample_top evaluates the angular factor first on the PREPASS * k largest
+# sample_tops evaluates the angular factor first on the PREPASS * k largest
 # bases; their k-th largest draw bounds the sample's k-th largest from below
 PREPASS = 8
+# direct-kind rows drawn before one largest() reduces them
+BLOCK = 64
 
 
-def _draw(model: PotModel, n: int, seed):
-    """One RNG stream for both samplers: the bases q + f(D) * E, and for the
-    angular kind the angles Theta (None for the direct kind)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if model.day_pool.size == 0:
-        raise ValueError("model has an empty day pool")
-    rng = np.random.default_rng(seed)
-    # the stream of rng.choice(day_pool, size=n), without its overhead
-    d = model.day_pool[rng.integers(0, model.day_pool.size, size=n)]
-    e = rng.exponential(size=n)
-    base = model.q + model.scale.table[d - 1] * e
-    if model.kind == "direct":
-        return base, None
-    return base, rng.uniform(0.0, math.pi / 2.0, size=n)
+def _draw(model: PotModel, pool_scale: np.ndarray, rng, base: np.ndarray, u=None) -> None:
+    """One RNG stream for every sampler: fill base with the bases q + f(D) * E
+    and, for the angular kind, u with the uniforms of Theta = (pi/2) * u.
+
+    pool_scale is f at each day of the pool (scale.table[day_pool - 1]).  The
+    stream is that of rng.choice(day_pool, size=n), rng.exponential(size=n)
+    and rng.uniform(0, pi/2, size=n), bit for bit: exponential() is
+    1.0 * standard_exponential() and uniform(0, pi/2) is 0.0 + (pi/2) * random().
+    """
+    scale = pool_scale[rng.integers(0, pool_scale.size, size=base.size)]
+    rng.standard_exponential(out=base)
+    base *= scale
+    base += model.q
+    if u is not None:
+        rng.random(out=u)
 
 
-def _angular(base: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _angular(base: np.ndarray, u: np.ndarray) -> np.ndarray:
+    theta = math.pi / 2.0 * u
     return base * np.minimum(np.sin(theta), np.cos(theta))
 
 
@@ -307,30 +310,54 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     standard exponential; the angular kind multiplies by
     min(sin Theta, cos Theta), Theta ~ U([0, pi/2]).
     """
-    base, theta = _draw(model, n, seed)
-    return base if theta is None else _angular(base, theta)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    base = np.empty(n)
+    u = np.empty(n) if model.kind == "angular" else None
+    _draw(model, model.scale.table[model.day_pool - 1], np.random.default_rng(seed), base, u)
+    return base if u is None else _angular(base, u)
+
+
+def sample_tops(model: PotModel, n: int, k: int, rngs) -> np.ndarray:
+    """Row r: the k largest values, ascending, of the n draws sample_model
+    makes from the r-th generator of rngs, bit for bit; shape (len(rngs), k).
+
+    rngs is a sized iterable of numpy Generators, each drawn from before
+    the next is taken, so one Generator re-seeded per row may serve.  Direct
+    rows are reduced BLOCK at a time.  The angular factor is evaluated only
+    on the draws that can reach the top k: those whose upper bound
+    base * ANGULAR_BOUND is at least the k-th largest exact draw among the
+    PREPASS * k largest bases.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    pool_scale = model.scale.table[model.day_pool - 1]
+    out = np.empty((len(rngs), k))
+    if model.kind == "direct":
+        block = np.empty((min(BLOCK, len(out)), n))
+        for r, rng in enumerate(rngs):
+            _draw(model, pool_scale, rng, block[r % BLOCK])
+            if r % BLOCK == len(block) - 1 or r == len(out) - 1:
+                out[r - r % BLOCK:r + 1] = largest(block[:r % BLOCK + 1], k)
+        return out
+    base, u = np.empty(n), np.empty(n)
+    for r, rng in enumerate(rngs):
+        _draw(model, pool_scale, rng, base, u)
+        # the bound needs base >= 0, which q >= 0 guarantees
+        if n <= PREPASS * k or model.q < 0.0:
+            out[r] = largest(_angular(base, u), k)
+            continue
+        pre = np.argpartition(base, n - PREPASS * k)[n - PREPASS * k:]
+        floor = largest(_angular(base[pre], u[pre]), k)[0]
+        keep = np.flatnonzero(base * ANGULAR_BOUND >= floor)
+        out[r] = largest(_angular(base[keep], u[keep]), k)
+    return out
 
 
 def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
     """The k largest values of ``sample_model(model, n, seed)``, ascending,
-    bit for bit.
-
-    The angular factor is evaluated only on the draws that can reach the
-    top k: those whose upper bound base * ANGULAR_BOUND is at least the k-th
-    largest exact draw among the PREPASS * k largest bases.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    base, theta = _draw(model, n, seed)
-    if theta is None:
-        return largest(base, k)
-    # the bound needs base >= 0, which q >= 0 guarantees
-    if n <= PREPASS * k or model.q < 0.0:
-        return largest(_angular(base, theta), k)
-    pre = np.argpartition(base, n - PREPASS * k)[n - PREPASS * k:]
-    floor = largest(_angular(base[pre], theta[pre]), k)[0]
-    keep = np.flatnonzero(base * ANGULAR_BOUND >= floor)
-    return largest(_angular(base[keep], theta[keep]), k)
+    bit for bit: sample_tops on the one generator default_rng(seed)."""
+    return sample_tops(model, n, k, [np.random.default_rng(seed)])[0]
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:

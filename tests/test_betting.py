@@ -22,8 +22,8 @@ from potbet import (
     select_level,
     top_spacings,
 )
-from potbet import betting
-from potbet.betting import GameInfeasibleError, level_seed
+from potbet import betting, potmodel
+from potbet.betting import GameInfeasibleError, SpawnedGenerators, level_seed
 from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
 
 
@@ -181,6 +181,10 @@ class TestGameConfig:
         cfg = GameConfig(level_grid=(0.99, 0.9, 0.995))
         assert cfg.level_grid == (0.9, 0.99, 0.995)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GameConfig(seed=-1)
+
 
 class TestSelectLevel:
     def test_single_level_grid_returns_it(self):
@@ -324,6 +328,15 @@ class TestNullCalibration:
             assert abs(rep.mean_terminal_wealth - 1.0) <= 5.0 * se, k
             assert rep.rejection_fraction <= 0.12, k
 
+    def test_equals_reference_at_a_two_word_seed(self):
+        # 2**32 is two entropy words, so the spawn keys start one word later
+        model = fit_pot_model(small_target(seed=6, years=30), 0.95, n_basis=4)
+        cfg = GameConfig(K=5, alpha=0.1, seed=2**32)
+        rep = null_calibration(model, cfg, trials=150)
+        wealths, rejection = reference_calibration(model, cfg, 150, model.day_pool.size)
+        assert np.array_equal(rep.terminal_wealths, wealths)
+        assert rep.rejection_fraction == rejection
+
     def test_deterministic_given_seed(self):
         target = small_target(seed=6, years=30)
         model = fit_pot_model(target, 0.95, n_basis=4)
@@ -332,6 +345,36 @@ class TestNullCalibration:
         rep2 = null_calibration(model, cfg, trials=200, n_sample=150)
         assert np.array_equal(rep1.terminal_wealths, rep2.terminal_wealths)
         assert rep1.rejection_fraction == rep2.rejection_fraction
+
+
+class TestSpawnedGenerators:
+    @pytest.mark.parametrize("seed", [0, 55, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_states_equal_numpy_spawned_generators(self, seed):
+        # the keys run past 2**16, so the key words exceed the 16-bit shift
+        trials = 2**16 + 3
+        got = [rng.bit_generator.state for rng in SpawnedGenerators(seed, trials)]
+        assert len(got) == 2 * trials
+        for i in (0, 1, 2**16 - 1, 2**16, trials - 1):
+            for side in (0, 1):
+                want = np.random.SeedSequence([seed, betting.CALIBRATION_KEY],
+                                              spawn_key=(i, side))
+                assert got[side * trials + i] == \
+                    np.random.default_rng(want).bit_generator.state, (i, side)
+        root = np.random.SeedSequence([seed, betting.CALIBRATION_KEY])
+        for i, child in enumerate(root.spawn(4)):
+            for side, s in enumerate(child.spawn(2)):
+                assert got[side * trials + i] == np.random.default_rng(s).bit_generator.state
+
+    @pytest.mark.parametrize("tid,p", [("T2", 0.95), ("T3", 0.9)])
+    def test_sample_tops_draws_each_row_from_its_stream(self, tid, p):
+        # one Generator re-seeded per row: a full block of direct rows and a part block
+        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=20, seed=6))
+        model = fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p, n_basis=4)
+        pairs = [c.spawn(2) for c in
+                 np.random.SeedSequence([3, betting.CALIBRATION_KEY]).spawn(35)]
+        want = [sample_top(model, 300, 6, pair[side]) for side in (0, 1) for pair in pairs]
+        got = potmodel.sample_tops(model, 300, 6, SpawnedGenerators(3, 35))
+        assert np.array_equal(got, want)
 
 
 def reference_calibration(model, cfg, trials, n):

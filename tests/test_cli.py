@@ -477,6 +477,14 @@ class TestConfigAndErrors:
         ({"synth": {"spatial_loading": [float("nan")] + [1.0] * 24}},
          "synth key 'spatial_loading' must be a list of float, got [nan, 1.0"),
         ({"targets": []}, "targets must be non-empty"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": -1, "synth": {"n_runs": 4, "years_per_run": 25, "seed": 1}},
+         "seed must be >= 0"),
+        ({"synth": {"n_runs": 4, "years_per_run": 25, "seed": -1}}, "seed must be >= 0"),
+        ({"synth": {"years_per_run": 10**400}},
+         "synth key 'years_per_run' must be int, got 1000000000"),
+        ({"n_basis": 10**400}, "config key 'n_basis' must be int, got 1000000000"),
+        ({"seed": 2**63}, "config key 'seed' must be int, got 9223372036854775808"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

@@ -312,6 +312,10 @@ class TestExactCounts:
 
 
 class TestEstimateConfig:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            EstimateConfig(seed=-1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EstimateConfig(n_replications=10)

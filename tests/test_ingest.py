@@ -369,6 +369,10 @@ class TestSynthetic:
         values = generate_synthetic(spec).concat_values()
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SynthSpec(seed=-1)
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(tail_scale=0.0)

@@ -26,8 +26,10 @@ from potbet import (
     sample_model,
     sample_top,
 )
+from potbet.potmodel import sample_tops
 from potbet.potmodel import (
     ANGULAR_BOUND,
+    BLOCK,
     PREPASS,
     ExceedanceSet,
     LevelTooHighError,
@@ -359,6 +361,17 @@ class TestSampleTop:
                 want = np.sort(sample_model(model, n, seed))[-k:]
                 assert np.array_equal(sample_top(model, n, k, seed), want)
 
+    @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
+    @pytest.mark.parametrize("n,k", [(3649, 1), (3649, 6), (3649, 26), (200, 26), (26, 26)])
+    def test_rows_equal_sample_top(self, which, n, k):
+        # 2 * BLOCK + 3 rows: two full blocks and a part block of direct rows
+        model = SAMPLE_TOP_MODELS[which]
+        seeds = range(100, 100 + 2 * BLOCK + 3)
+        tops = sample_tops(model, n, k, [np.random.default_rng(s) for s in seeds])
+        assert tops.shape == (len(seeds), k)
+        for row, seed in zip(tops, seeds):
+            assert np.array_equal(row, sample_top(model, n, k, seed))
+
     @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
     def test_k_outside_one_to_n_rejected(self, n, k):
         with pytest.raises(ValueError, match="k="):
@@ -383,6 +396,13 @@ class TestDayPool:
             PotModel(target_id="X1", p=0.99, q=0.0,
                      scale=CyclicScale(n_basis=4, coefficients=np.ones(4), floor=1e-9),
                      day_pool=np.array(pool), kind="direct")
+
+    def test_empty_pool_rejected(self):
+        # integer-typed, so only its size can reject it
+        with pytest.raises(ValueError, match="day_pool"):
+            PotModel(target_id="X1", p=0.99, q=0.0,
+                     scale=CyclicScale(n_basis=4, coefficients=np.ones(4), floor=1e-9),
+                     day_pool=np.array([], dtype=np.int64), kind="direct")
 
 
 class TestFitPotModel:
