@@ -37,6 +37,8 @@ class EstimateConfig:
     def __post_init__(self):
         if self.n_replications < 100:
             raise ValueError("n_replications must be >= 100")
+        if self.n_replications * 8 > np.iinfo(np.intp).max:  # numpy's largest int64 array
+            raise ValueError(f"n_replications must be <= {np.iinfo(np.intp).max // 8}")
         if not 0.5 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0.5, 1)")
         if not 0 <= self.given_runs < self.total_runs:

@@ -19,6 +19,9 @@ import numpy as np
 
 N_LOCATIONS = 25
 DAYS_PER_YEAR = 365
+# the rows a run-sized kernel works on at a time: its transient memory is
+# one block (0.8 MB of values), not a second copy of the run
+ROW_BLOCK = 4096
 
 CSV_HEADER = (
     "run_id,day_index,day_of_year,"
@@ -30,15 +33,19 @@ _N_COLUMNS = 3 + N_LOCATIONS
 def rankth_largest(values: np.ndarray, rank: int) -> np.ndarray:
     """Each row's rank-th largest of its N_LOCATIONS values (1 = max, 25 = min).
 
-    Rank 25 takes one `min` pass; the other ranks a partition.  Either way
-    the result is an element of its row equal to the sorted row's entry.
-    Only a tie between 0.0 and -0.0 (which a CSV panel may hold) leaves the
-    sign of the zero returned unspecified, as it is for the partition.
+    Rank 25 takes one `min` pass; the other ranks partition ROW_BLOCK rows
+    at a time.  Either way the result is an element of its row equal to the
+    sorted row's entry.  Only a tie between 0.0 and -0.0 (which a CSV panel
+    may hold) leaves the sign of the zero returned unspecified, as it is for
+    the partition.
     """
     if rank == N_LOCATIONS:
         return values.min(axis=1)
     idx = N_LOCATIONS - rank  # ascending-sorted position of the rank-th largest
-    return np.partition(values, idx, axis=1)[:, idx]
+    out = np.empty(len(values))
+    for i in range(0, len(values), ROW_BLOCK):
+        out[i:i + ROW_BLOCK] = np.partition(values[i:i + ROW_BLOCK], idx, axis=1)[:, idx]
+    return out
 
 
 class IngestError(ValueError):
@@ -171,7 +178,8 @@ class SynthSpec:
 
         rng draws all of Z's exponentials first, then the noise: the stream
         `rng.exponential` gave.  loading * Z is added into the noise in
-        place, and addition commutes, so the values are loading * Z + noise.
+        place, ROW_BLOCK rows at a time, and addition commutes, so the
+        values are loading * Z + noise.
         """
         d = np.asarray(day_of_year, dtype=np.float64)
         s = self.tail_scale * (
@@ -179,7 +187,8 @@ class SynthSpec:
         )
         z = s * rng.standard_exponential(d.size)
         values = rng.standard_exponential((d.size, N_LOCATIONS))
-        values += self.spatial_loading * z[:, None]
+        for i in range(0, d.size, ROW_BLOCK):
+            values[i:i + ROW_BLOCK] += self.spatial_loading * z[i:i + ROW_BLOCK, None]
         return values
 
 
@@ -295,8 +304,9 @@ def write_dataset(data: Dataset, paths: list) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             days = run.day_of_year.tolist()
-            for i, (doy, vals) in enumerate(zip(days, run.values.tolist()), start=1):
-                fh.write(f"{run.run_id},{i},{doy},{','.join(map(repr, vals))}\n")
+            # one row of Python floats at a time: a whole run's list is 5x its array
+            for i, (doy, row) in enumerate(zip(days, run.values), start=1):
+                fh.write(f"{run.run_id},{i},{doy},{','.join(map(repr, row.tolist()))}\n")
 
 
 @dataclass

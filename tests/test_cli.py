@@ -485,6 +485,8 @@ class TestConfigAndErrors:
          "synth key 'years_per_run' must be int, got 1000000000"),
         ({"n_basis": 10**400}, "config key 'n_basis' must be int, got 1000000000"),
         ({"seed": 2**63}, "config key 'seed' must be int, got 9223372036854775808"),
+        ({"synth": {"n_runs": 4, "years_per_run": 3}, "years": 3, "n_replications": 2**62},
+         "n_replications must be <= 1152921504606846975"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

@@ -316,6 +316,13 @@ class TestEstimateConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             EstimateConfig(seed=-1)
 
+    def test_replications_numpy_cannot_size_rejected(self):
+        # the counts are one int64 array of n_replications entries
+        most = np.iinfo(np.intp).max // 8
+        assert EstimateConfig(n_replications=most).n_replications == most
+        with pytest.raises(ValueError, match="n_replications must be <= "):
+            EstimateConfig(n_replications=most + 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EstimateConfig(n_replications=10)

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from potbet import (
     generate_synthetic,
     ground_truth_frequency,
     load_dataset,
+    reduce_target,
     write_dataset,
 )
 from potbet import ingest
-from potbet.ingest import CSV_HEADER, IngestError, rankth_largest
+from potbet.ingest import CSV_HEADER, ROW_BLOCK, IngestError, rankth_largest
 
 
 def small_spec(**kw):
@@ -340,11 +342,12 @@ class TestSynthetic:
         expected = p_oracle * data.n_total
         assert abs(hits - expected) < 5 * np.sqrt(expected)
 
-    def test_sample_days_is_the_loaded_factor_plus_noise(self):
+    @staticmethod
+    def _assert_loaded_factor_plus_noise(n_days):
         # the law written out as it was first drawn, on a twin generator
         spec = SynthSpec(seasonal_amplitude=0.3, tail_scale=2.5,
                          spatial_loading=np.linspace(0.2, 1.0, 25))
-        doy = np.arange(3 * 365) % 365 + 1
+        doy = np.arange(n_days) % 365 + 1
         got = spec.sample_days(np.random.default_rng(21), doy)
         twin = np.random.default_rng(21)
         s = 2.5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * doy / 365))
@@ -357,13 +360,23 @@ class TestSynthetic:
         spec.sample_days(rng, doy)
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    def test_sample_days_is_the_loaded_factor_plus_noise(self):
+        self._assert_loaded_factor_plus_noise(3 * 365)
+
+    @pytest.mark.parametrize("n_days", [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+    def test_sample_days_across_row_blocks(self, n_days):
+        self._assert_loaded_factor_plus_noise(n_days)
+
     @pytest.mark.parametrize("spec, digest", [
         (SynthSpec(n_runs=2, years_per_run=1, seed=0),
          "f11dd3b6e46b84423a69a9ccec5c552afaee06d146a5018702fe65ba20c0ea59"),
         (SynthSpec(n_runs=2, years_per_run=1, seed=5, seasonal_amplitude=0.3,
                    tail_scale=2.5, spatial_loading=np.linspace(0.2, 1.0, 25)),
          "f8b7061d1480112202ae9abae3c451fdf7ea5578fdac7b33bc47e68afc6eb410"),
-    ], ids=["default-law", "non-unit-loading"])
+        (SynthSpec(n_runs=1, years_per_run=12, seed=5, seasonal_amplitude=0.3,
+                   tail_scale=2.5, spatial_loading=np.linspace(0.2, 1.0, 25)),
+         "19a3f12f88457f94e1ece607993cf12c40d60ebc6fcdf9a991bd673ca8051bf0"),
+    ], ids=["default-law", "non-unit-loading", "longer-than-a-row-block"])
     def test_generated_bytes_are_pinned(self, spec, digest):
         # the synthetic stream every fixture and oracle rests on
         values = generate_synthetic(spec).concat_values()
@@ -402,6 +415,60 @@ class TestRankthLargest:
             picked = np.partition(values, 25 - rank, axis=1)[:, 25 - rank]
             np.testing.assert_array_equal(got, ascending[:, 25 - rank], str(rank))
             np.testing.assert_array_equal(got, picked, str(rank))
+
+    @pytest.mark.parametrize("n_rows", [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
+    def test_across_row_blocks(self, n_rows):
+        # a small value pool gives ties; below rank 25, the blocks pick the
+        # bits one whole-array partition picks, signed zeros included
+        rng = np.random.default_rng(n_rows)
+        values = rng.choice([0.0, -0.0, 1.0, 2.5, 7.0], size=(n_rows, 25))
+        values[::3] = rng.exponential(size=values[::3].shape)
+        ascending = np.sort(values, axis=1)
+        for rank in range(1, 26):
+            got = rankth_largest(values, rank)
+            np.testing.assert_array_equal(got, ascending[:, 25 - rank], str(rank))
+            if rank < 25:
+                picked = np.partition(values, 25 - rank, axis=1)[:, 25 - rank]
+                assert got.tobytes() == picked.tobytes(), rank
+
+
+def _traced_peak(f) -> int:
+    """The most bytes f held at once, as tracemalloc counts them (numpy
+    reports its buffers to it, so the count is exact, unlike the RSS)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestTransientMemory:
+    """Each kernel's transient memory is one row block, not a copy of a run;
+    the unit is one 50-year run's values."""
+
+    @pytest.fixture(scope="class")
+    def panel(self):
+        return generate_synthetic(SynthSpec(n_runs=4, years_per_run=50, seed=1))
+
+    @pytest.mark.parametrize("target_id", ["T2", "T3"])
+    def test_reduce_target_holds_no_partitioned_copy(self, panel, target_id):
+        spec = TargetSpec.canonical(target_id)
+        peak = _traced_peak(lambda: reduce_target(panel, spec))
+        assert peak < 1.5 * panel.runs[0].values.nbytes
+
+    def test_write_dataset_formats_one_row_at_a_time(self, panel, tmp_path):
+        # the writer's peak is one run's, so one run keeps the test short
+        one_run = Dataset(panel.runs[:1])
+        peak = _traced_peak(lambda: write_dataset(one_run, [tmp_path / "run.csv"]))
+        assert peak < 0.5 * panel.runs[0].values.nbytes
+
+    def test_sample_days_adds_the_factor_block_by_block(self, panel):
+        # the (n_days, 25) result itself is one unit
+        spec, doy = SynthSpec(), panel.runs[0].day_of_year
+        peak = _traced_peak(lambda: spec.sample_days(np.random.default_rng(0), doy))
+        assert peak < 1.6 * panel.runs[0].values.nbytes
 
 
 class TestGroundTruthOracle:
