@@ -59,6 +59,10 @@ class GameConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.level_grid = tuple(sorted(self.level_grid))
+        if self.max_level < self.level_grid[0]:
+            # no level could ever be selected
+            raise ValueError(f"max_level must be >= the smallest grid level "
+                             f"{self.level_grid[0]}, got {self.max_level}")
 
 
 @dataclass
@@ -160,60 +164,6 @@ def level_seed(seed: int, p: float) -> np.random.SeedSequence:
 
 
 CALIBRATION_KEY = 0xCA11B
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _hasher(h: int, mult: int):
-    """SeedSequence's hash of uint32 arrays, its constant h times mult per call."""
-    def hash_(v):
-        nonlocal h
-        v = (v ^ h) * (h := (h * mult) & _MASK32)
-        return v ^ (v >> 16)
-    return hash_
-
-
-class SpawnedGenerators:
-    """default_rng(SeedSequence([seed, CALIBRATION_KEY]).spawn(trials)[i]
-    .spawn(2)[side]) for side 0, i = 0..trials-1, then side 1, bit for bit.
-
-    SeedSequence's mixing and generate_state(4, uint64) run in one uint32
-    pass over all spawn keys (i, side), and PCG64's srandom_r starts each
-    stream at ((inc + s) * MULT + inc) mod 2**128.  Iteration yields one
-    Generator, re-seeded as each stream is reached: draw before taking the next.
-    """
-
-    def __init__(self, seed: int, trials: int):
-        run = [(seed >> b) & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
-        run += [CALIBRATION_KEY] + [0] * (3 - len(run))  # at least the 4-word pool
-        words = [np.full(2 * trials, w, dtype=np.uint32) for w in run] + [
-            np.tile(np.arange(trials, dtype=np.uint32), 2),
-            np.repeat(np.arange(2, dtype=np.uint32), trials)]
-        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-        pool = [hashmix(w) for w in words[:4]]
-        for src, word in enumerate(words):  # the pool mixes itself, then the rest
-            for dst in range(4):
-                if dst != src:
-                    y = hashmix(pool[src] if src < 4 else word)
-                    mixed = pool[dst] * 0xCA01F9DD - y * 0x4973F715
-                    pool[dst] = mixed ^ (mixed >> 16)
-        out = _hasher(0x8B51F9DD, 0x58F38DED)
-        state = [out(pool[j % 4]).astype(np.uint64) for j in range(8)]
-        # the 128-bit seed and stream words of pcg64_set_seed, high word first
-        s_hi, s_lo, i_hi, i_lo = ((state[j] | state[j + 1] << np.uint64(32)).tolist()
-                                  for j in range(0, 8, 2))
-        self.incs = [((a << 64 | b) << 1 | 1) & _MASK128 for a, b in zip(i_hi, i_lo)]
-        self.states = [((inc + (a << 64 | b)) * 0x2360ED051FC65DA44385DF649FCCF645 + inc)
-                       & _MASK128 for inc, a, b in zip(self.incs, s_hi, s_lo)]
-
-    def __len__(self):
-        return len(self.states)
-
-    def __iter__(self):
-        rng = np.random.Generator(np.random.PCG64())
-        for state, inc in zip(self.states, self.incs):
-            rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                       "state": {"state": state, "inc": inc}}
-            yield rng
 
 
 @dataclass
@@ -319,21 +269,21 @@ def null_calibration(
     normalised spacings are then iid, Renyi 1953); for the seasonal mixture
     that sample_model draws it holds closely but not exactly.
 
-    Trial i draws its two samples from the streams SpawnedGenerators gives
-    it (those of SeedSequence([cfg.seed, CALIBRATION_KEY]).spawn(trials)[i]
-    .spawn(2), made without per-stream objects), keeping only their K+1
-    largest values (sample_tops); all trials then play at once, through
-    the loop run_rounds plays a single game with.
+    All trials draw from one Generator, seeded by SeedSequence([cfg.seed,
+    CALIBRATION_KEY]), keeping only each sample's K+1 largest values
+    (sample_tops).  Rows 2i and 2i + 1 are trial i's observed and model
+    sides, so trial i's draws do not depend on the number of trials.  All
+    trials then play at once, through the loop run_rounds plays a single
+    game with.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
     n = n_sample if n_sample is not None else int(model.day_pool.size)
     if n < cfg.K + 1:
         raise GameInfeasibleError(f"sample size {n} < K+1={cfg.K + 1}")
-    # rows i and trials + i: trial i's observed and model sides
-    tops = potmodel.sample_tops(model, n, cfg.K + 1, SpawnedGenerators(cfg.seed, trials))
-    path, first = _play(*top_spacings(tops.reshape(2, trials, -1), cfg.K),
-                        cfg.clip, cfg.alpha)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, CALIBRATION_KEY]))
+    spacings = top_spacings(potmodel.sample_tops(model, n, cfg.K + 1, rng, 2 * trials), cfg.K)
+    path, first = _play(spacings[0::2], spacings[1::2], cfg.clip, cfg.alpha)
     wealths = path[:, -1]
     rejections = int(np.count_nonzero(first >= 0))
     return CalibrationReport(

@@ -164,8 +164,9 @@ class SynthSpec:
             raise ValueError("n_runs and years_per_run must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.seasonal_amplitude < 0:
-            raise ValueError("seasonal_amplitude must be >= 0")
+        if not 0 <= self.seasonal_amplitude <= 1:
+            # above 1 the seasonal scale s(d) goes negative
+            raise ValueError("seasonal_amplitude must be in [0, 1]")
         if self.tail_scale <= 0:
             raise ValueError("tail_scale must be > 0")
         if self.spatial_loading.shape != (N_LOCATIONS,):

@@ -318,30 +318,30 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     return base if u is None else _angular(base, u)
 
 
-def sample_tops(model: PotModel, n: int, k: int, rngs) -> np.ndarray:
-    """Row r: the k largest values, ascending, of the n draws sample_model
-    makes from the r-th generator of rngs, bit for bit; shape (len(rngs), k).
+def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
+    """Row r: the k largest values, ascending, of the n draws the r-th of
+    ``rows`` successive sample_model(model, n, rng) calls would make, bit for
+    bit; shape (rows, k).
 
-    rngs is a sized iterable of numpy Generators, each drawn from before
-    the next is taken, so one Generator re-seeded per row may serve.  Direct
-    rows are reduced BLOCK at a time.  The angular factor is evaluated only
-    on the draws that can reach the top k: those whose upper bound
-    base * ANGULAR_BOUND is at least the k-th largest exact draw among the
-    PREPASS * k largest bases.
+    Direct rows are reduced BLOCK at a time.  The angular factor is
+    evaluated only on the draws that can reach the top k: those whose upper
+    bound base * ANGULAR_BOUND is at least the k-th largest exact draw among
+    the PREPASS * k largest bases.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     pool_scale = model.scale.table[model.day_pool - 1]
-    out = np.empty((len(rngs), k))
+    out = np.empty((rows, k))
     if model.kind == "direct":
-        block = np.empty((min(BLOCK, len(out)), n))
-        for r, rng in enumerate(rngs):
-            _draw(model, pool_scale, rng, block[r % BLOCK])
-            if r % BLOCK == len(block) - 1 or r == len(out) - 1:
-                out[r - r % BLOCK:r + 1] = largest(block[:r % BLOCK + 1], k)
+        block = np.empty((min(BLOCK, rows), n))
+        for start in range(0, rows, BLOCK):
+            part = block[:min(BLOCK, rows - start)]
+            for row in part:
+                _draw(model, pool_scale, rng, row)
+            out[start:start + len(part)] = largest(part, k)
         return out
     base, u = np.empty(n), np.empty(n)
-    for r, rng in enumerate(rngs):
+    for r in range(rows):
         _draw(model, pool_scale, rng, base, u)
         # the bound needs base >= 0, which q >= 0 guarantees
         if n <= PREPASS * k or model.q < 0.0:
@@ -356,8 +356,8 @@ def sample_tops(model: PotModel, n: int, k: int, rngs) -> np.ndarray:
 
 def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
     """The k largest values of ``sample_model(model, n, seed)``, ascending,
-    bit for bit: sample_tops on the one generator default_rng(seed)."""
-    return sample_tops(model, n, k, [np.random.default_rng(seed)])[0]
+    bit for bit: one row of sample_tops on default_rng(seed)."""
+    return sample_tops(model, n, k, np.random.default_rng(seed), 1)[0]
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:

@@ -22,8 +22,8 @@ from potbet import (
     select_level,
     top_spacings,
 )
-from potbet import betting, potmodel
-from potbet.betting import GameInfeasibleError, SpawnedGenerators, level_seed
+from potbet import betting
+from potbet.betting import CALIBRATION_KEY, GameInfeasibleError, level_seed
 from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
 
 
@@ -176,6 +176,9 @@ class TestGameConfig:
             GameConfig(clip=2.5)
         with pytest.raises(ValueError):
             GameConfig(level_grid=())
+        # no level at or below max_level could ever be selected
+        with pytest.raises(ValueError, match="smallest grid level 0.9, got 0.5"):
+            GameConfig(level_grid=(0.95, 0.9), max_level=0.5)
 
     def test_grid_is_sorted(self):
         cfg = GameConfig(level_grid=(0.99, 0.9, 0.995))
@@ -328,15 +331,6 @@ class TestNullCalibration:
             assert abs(rep.mean_terminal_wealth - 1.0) <= 5.0 * se, k
             assert rep.rejection_fraction <= 0.12, k
 
-    def test_equals_reference_at_a_two_word_seed(self):
-        # 2**32 is two entropy words, so the spawn keys start one word later
-        model = fit_pot_model(small_target(seed=6, years=30), 0.95, n_basis=4)
-        cfg = GameConfig(K=5, alpha=0.1, seed=2**32)
-        rep = null_calibration(model, cfg, trials=150)
-        wealths, rejection = reference_calibration(model, cfg, 150, model.day_pool.size)
-        assert np.array_equal(rep.terminal_wealths, wealths)
-        assert rep.rejection_fraction == rejection
-
     def test_deterministic_given_seed(self):
         target = small_target(seed=6, years=30)
         model = fit_pot_model(target, 0.95, n_basis=4)
@@ -347,60 +341,35 @@ class TestNullCalibration:
         assert rep1.rejection_fraction == rep2.rejection_fraction
 
 
-class TestSpawnedGenerators:
-    @pytest.mark.parametrize("seed", [0, 55, 2**32 - 1, 2**32, 2**63 - 1])
-    def test_states_equal_numpy_spawned_generators(self, seed):
-        # the keys run past 2**16, so the key words exceed the 16-bit shift
-        trials = 2**16 + 3
-        got = [rng.bit_generator.state for rng in SpawnedGenerators(seed, trials)]
-        assert len(got) == 2 * trials
-        for i in (0, 1, 2**16 - 1, 2**16, trials - 1):
-            for side in (0, 1):
-                want = np.random.SeedSequence([seed, betting.CALIBRATION_KEY],
-                                              spawn_key=(i, side))
-                assert got[side * trials + i] == \
-                    np.random.default_rng(want).bit_generator.state, (i, side)
-        root = np.random.SeedSequence([seed, betting.CALIBRATION_KEY])
-        for i, child in enumerate(root.spawn(4)):
-            for side, s in enumerate(child.spawn(2)):
-                assert got[side * trials + i] == np.random.default_rng(s).bit_generator.state
-
-    @pytest.mark.parametrize("tid,p", [("T2", 0.95), ("T3", 0.9)])
-    def test_sample_tops_draws_each_row_from_its_stream(self, tid, p):
-        # one Generator re-seeded per row: a full block of direct rows and a part block
-        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=20, seed=6))
-        model = fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p, n_basis=4)
-        pairs = [c.spawn(2) for c in
-                 np.random.SeedSequence([3, betting.CALIBRATION_KEY]).spawn(35)]
-        want = [sample_top(model, 300, 6, pair[side]) for side in (0, 1) for pair in pairs]
-        got = potmodel.sample_tops(model, 300, 6, SpawnedGenerators(3, 35))
-        assert np.array_equal(got, want)
-
-
 def reference_calibration(model, cfg, trials, n):
-    """null_calibration's per-trial definition: two full samples per trial,
-    one scalar game each, on the same RNG streams."""
-    root = np.random.SeedSequence([cfg.seed, 0xCA11B])
+    """null_calibration's per-trial definition: trial i plays one scalar game
+    on two full samples, the observed side then the model side, drawn by
+    successive sample_model calls on one Generator."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, CALIBRATION_KEY]))
     wealths = np.empty(trials)
     rejections = 0
-    for i, child in enumerate(root.spawn(trials)):
-        s_obs, s_mod = child.spawn(2)
-        result = run_rounds(top_spacings(sample_model(model, n, s_obs), cfg.K),
-                            top_spacings(sample_model(model, n, s_mod), cfg.K),
+    for i in range(trials):
+        obs = sample_model(model, n, rng)
+        result = run_rounds(top_spacings(obs, cfg.K),
+                            top_spacings(sample_model(model, n, rng), cfg.K),
                             clip=cfg.clip, alpha=cfg.alpha)
         wealths[i] = result.terminal_wealth
         rejections += result.rejection_round is not None
     return wealths, rejections / trials
 
 
+def calibration_model(tid, p):
+    data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=20, seed=6))
+    return fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p, n_basis=4)
+
+
 class TestBatchedCalibration:
     @pytest.mark.parametrize("tid,p", [("T2", 0.95), ("T3", 0.9)])
     @pytest.mark.parametrize("k", [2, 5, 25])
-    def test_equals_per_trial_reference(self, tid, p, k):
-        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=20, seed=6))
-        model = fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p,
-                              n_basis=4)
-        cfg = GameConfig(K=k, alpha=0.1, seed=31)
+    @pytest.mark.parametrize("seed", [31, 2**32])  # 2**32 is two entropy words
+    def test_equals_per_trial_reference(self, tid, p, k, seed):
+        model = calibration_model(tid, p)
+        cfg = GameConfig(K=k, alpha=0.1, seed=seed)
         rep = null_calibration(model, cfg, trials=300)
         wealths, rejection = reference_calibration(model, cfg, 300,
                                                    model.day_pool.size)
@@ -416,3 +385,12 @@ class TestBatchedCalibration:
         wealths, rejection = reference_calibration(model, cfg, 200, 6)
         assert np.array_equal(rep.terminal_wealths, wealths)
         assert rep.rejection_fraction == rejection
+
+    @pytest.mark.parametrize("tid,p", [("T2", 0.95), ("T3", 0.9)])
+    def test_trial_draws_do_not_depend_on_the_trial_count(self, tid, p):
+        # rows 2i and 2i + 1 are trial i's sides, whatever the number of trials
+        model = calibration_model(tid, p)
+        cfg = GameConfig(K=5, alpha=0.1, seed=31)
+        short = null_calibration(model, cfg, trials=150)
+        long = null_calibration(model, cfg, trials=300)
+        assert np.array_equal(long.terminal_wealths[:150], short.terminal_wealths)

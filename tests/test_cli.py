@@ -487,6 +487,9 @@ class TestConfigAndErrors:
         ({"seed": 2**63}, "config key 'seed' must be int, got 9223372036854775808"),
         ({"synth": {"n_runs": 4, "years_per_run": 3}, "years": 3, "n_replications": 2**62},
          "n_replications must be <= 1152921504606846975"),
+        ({"max_level": 0.5}, "max_level must be >= the smallest grid level 0.9, got 0.5"),
+        ({"synth": {"n_runs": 4, "years_per_run": 25, "seasonal_amplitude": 3.0}},
+         "seasonal_amplitude must be in [0, 1]"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

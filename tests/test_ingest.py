@@ -389,8 +389,9 @@ class TestSynthetic:
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(tail_scale=0.0)
-        with pytest.raises(ValueError):
-            SynthSpec(seasonal_amplitude=-0.1)
+        for amplitude in (-0.1, 1.01):  # above 1, s(d) goes negative
+            with pytest.raises(ValueError, match=r"seasonal_amplitude must be in \[0, 1\]"):
+                SynthSpec(seasonal_amplitude=amplitude)
         with pytest.raises(ValueError):
             SynthSpec(spatial_loading=np.full(25, 1.5))
 

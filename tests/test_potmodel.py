@@ -364,13 +364,15 @@ class TestSampleTop:
     @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
     @pytest.mark.parametrize("n,k", [(3649, 1), (3649, 6), (3649, 26), (200, 26), (26, 26)])
     def test_rows_equal_sample_top(self, which, n, k):
-        # 2 * BLOCK + 3 rows: two full blocks and a part block of direct rows
+        # 2 * BLOCK + 3 rows: two full blocks and a part block of direct rows;
+        # row r is the top k of the r-th sample_model call on a twin Generator
         model = SAMPLE_TOP_MODELS[which]
-        seeds = range(100, 100 + 2 * BLOCK + 3)
-        tops = sample_tops(model, n, k, [np.random.default_rng(s) for s in seeds])
-        assert tops.shape == (len(seeds), k)
-        for row, seed in zip(tops, seeds):
-            assert np.array_equal(row, sample_top(model, n, k, seed))
+        rows = 2 * BLOCK + 3
+        tops = sample_tops(model, n, k, np.random.default_rng(100), rows)
+        twin = np.random.default_rng(100)
+        assert tops.shape == (rows, k)
+        for row in tops:
+            assert np.array_equal(row, np.sort(sample_model(model, n, twin))[-k:])
 
     @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
     def test_k_outside_one_to_n_rejected(self, n, k):
