@@ -270,8 +270,9 @@ def null_calibration(
     that sample_model draws it holds closely but not exactly.
 
     All trials draw from one Generator, seeded by SeedSequence([cfg.seed,
-    CALIBRATION_KEY]), keeping only each sample's K+1 largest values
-    (sample_tops).  Rows 2i and 2i + 1 are trial i's observed and model
+    CALIBRATION_KEY]), through sample_tops: each row has the law of a
+    sample's K+1 largest values, and draws little more than the values
+    above a threshold.  Rows 2i and 2i + 1 are trial i's observed and model
     sides, so trial i's draws do not depend on the number of trials.  All
     trials then play at once, through the loop run_rounds plays a single
     game with.

@@ -174,22 +174,34 @@ class SynthSpec:
         if np.any(self.spatial_loading <= 0) or np.any(self.spatial_loading > 1):
             raise ValueError("spatial_loading entries must lie in (0, 1]")
 
-    def sample_days(self, rng, day_of_year: np.ndarray) -> np.ndarray:
-        """The (n_days, 25) values of the given days.
+    def row_blocks(self, rng, day_of_year: np.ndarray, out=None):
+        """Yield the values of the given days ROW_BLOCK rows at a time: the
+        successive row slices of out, an (n_days, 25) array, or without out
+        one reused ROW_BLOCK-row buffer.
 
-        rng draws all of Z's exponentials first, then the noise: the stream
-        `rng.exponential` gave.  loading * Z is added into the noise in
-        place, ROW_BLOCK rows at a time, and addition commutes, so the
-        values are loading * Z + noise.
+        rng draws all of Z's exponentials first, then the noise block by
+        block; successive fills draw the stream one (n_days, 25)
+        `rng.exponential` call gave.  Each block is loading * Z + noise.
         """
         d = np.asarray(day_of_year, dtype=np.float64)
         s = self.tail_scale * (
             1.0 + self.seasonal_amplitude * np.sin(2.0 * np.pi * d / DAYS_PER_YEAR)
         )
         z = s * rng.standard_exponential(d.size)
-        values = rng.standard_exponential((d.size, N_LOCATIONS))
+        if out is None:
+            out = np.empty((min(ROW_BLOCK, d.size), N_LOCATIONS))
         for i in range(0, d.size, ROW_BLOCK):
-            values[i:i + ROW_BLOCK] += self.spatial_loading * z[i:i + ROW_BLOCK, None]
+            rows = min(ROW_BLOCK, d.size - i)
+            part = out[i:i + rows] if len(out) == d.size else out[:rows]
+            rng.standard_exponential(out=part)
+            part += self.spatial_loading * z[i:i + ROW_BLOCK, None]
+            yield part
+
+    def sample_days(self, rng, day_of_year: np.ndarray) -> np.ndarray:
+        """The (n_days, 25) values of the given days, filled by row_blocks."""
+        values = np.empty((len(day_of_year), N_LOCATIONS))
+        for _ in self.row_blocks(rng, day_of_year, values):
+            pass
         return values
 
 
@@ -339,7 +351,8 @@ def ground_truth_frequency(
     carry = np.empty(0)  # the previous chunk's last statistic, for consecutive targets
     while done < oracle_days:
         n = min(chunk_days, oracle_days - done)
-        y = rankth_largest(spec.sample_days(rng, calendar(n, done)), target.rank)
+        y = np.concatenate([rankth_largest(part, target.rank)
+                            for part in spec.row_blocks(rng, calendar(n, done))])
         if target.consecutive:
             y = np.concatenate([carry, y])
             carry = y[-1:]

@@ -4,6 +4,11 @@ Exceedances above a high empirical quantile are modeled as f(D) * E where
 D follows the empirical day-of-year distribution of the exceedances, f is
 a cyclic cubic regression spline fitted by least squares, and E is
 standard exponential (tail shape fixed at zero throughout).
+
+sample_model draws a sample of n values and sample_top its k largest.
+sample_tops draws many rows of a sample's k largest in law, not bit for
+bit: it draws only the values above a threshold, about OVERSAMPLE * k of
+them, and the rest only when they could reach the top k.
 """
 
 from __future__ import annotations
@@ -266,12 +271,13 @@ def fit_pot_model(
 
 
 # min(sin T, cos T) <= sqrt(2)/2 = 0.70710678..., so base * ANGULAR_BOUND is
-# an upper bound on an angular draw (rounding is monotone, so also in floats)
+# an upper bound on an angular draw with base >= 0 (rounding is monotone, so
+# also in floats)
 ANGULAR_BOUND = 0.7072
-# sample_tops evaluates the angular factor first on the PREPASS * k largest
-# bases; their k-th largest draw bounds the sample's k-th largest from below
-PREPASS = 8
-# direct-kind rows drawn before one largest() reduces them
+# sample_tops draws about OVERSAMPLE * k of each row's n bases: those above
+# its threshold
+OVERSAMPLE = 16
+# rows sample_tops draws at a time; it draws whole blocks only
 BLOCK = 64
 
 
@@ -303,6 +309,11 @@ def largest(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.partition(values, n - k, axis=-1)[..., n - k:], axis=-1)
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+
+
 def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     """Draw n independent exceedance-level samples from the fitted model.
 
@@ -318,46 +329,115 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     return base if u is None else _angular(base, u)
 
 
-def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
-    """Row r: the k largest values, ascending, of the n draws the r-th of
-    ``rows`` successive sample_model(model, n, rng) calls would make, bit for
-    bit; shape (rows, k).
+def _thinning(model: PotModel, n: int, k: int):
+    """The threshold tau = q + x of sample_tops, the probability pi that a
+    base exceeds it, and the scale and weight of each distinct pool day in
+    the law of D given a base above tau.
 
-    Direct rows are reduced BLOCK at a time.  The angular factor is
-    evaluated only on the draws that can reach the top k: those whose upper
-    bound base * ANGULAR_BOUND is at least the k-th largest exact draw among
-    the PREPASS * k largest bases.
+    Over the pool's distinct days d, with counts c_d and scales s_d,
+    pi(x) = sum c_d exp(-x / s_d) / sum c_d, and x solves n * pi(x) =
+    OVERSAMPLE * k; x = 0 (pi = 1) when n <= OVERSAMPLE * k or q < 0.
+    log pi is convex and decreasing, so Newton's steps from 0 rise
+    monotonically to the root.  Any x >= 0 with tau >= 0 gives sample_tops
+    the same law; x only sets how much it draws.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    counts = np.bincount(model.day_pool, minlength=DAYS_PER_YEAR + 1)[1:]
+    days = np.flatnonzero(counts)
+    c, s = counts[days].astype(np.float64), model.scale.table[days]
+    x = 0.0
+    if n > OVERSAMPLE * k and model.q >= 0.0:
+        target = math.log(OVERSAMPLE * k / n)
+        for _ in range(100):
+            weights = c * np.exp(-x / s)
+            total = weights.sum()
+            step = (math.log(total / c.sum()) - target) * total / (weights / s).sum()
+            x += step
+            if step <= 1e-12 * x:
+                break
+    weights = c * np.exp(-x / s)  # c itself at x = 0, so pi is exactly 1
+    return model.q + x, weights.sum() / c.sum(), s, weights
+
+
+def _alias(weights: np.ndarray):
+    """Walker's alias table of the law proportional to weights (Vose's
+    construction): draw i uniformly, keep it with probability prob[i], else
+    take alias[i]."""
+    prob = weights * (weights.size / weights.sum())
+    alias = np.arange(weights.size)
+    small = [i for i, p in enumerate(prob) if p < 1.0]
+    large = [i for i, p in enumerate(prob) if p >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        alias[lo] = hi
+        prob[hi] -= 1.0 - prob[lo]
+        (small if prob[hi] < 1.0 else large).append(hi)
+    prob[small + large] = 1.0
+    return prob, alias
+
+
+def _below(model: PotModel, pool_scale: np.ndarray, rng, tau: float, size: int) -> np.ndarray:
+    """size draws of the model whose base is at most tau: _draw's draws,
+    by rejection."""
+    parts = []
+    while size > 0:
+        base = np.empty(size)
+        u = np.empty(size) if model.kind == "angular" else None
+        _draw(model, pool_scale, rng, base, u)
+        keep = base <= tau
+        parts.append((base if u is None else _angular(base, u))[keep])
+        size -= int(np.count_nonzero(keep))
+    return np.concatenate(parts)
+
+
+def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
+    """Row r: the k largest of n independent draws from the model,
+    ascending; shape (rows, k).  Each row has the law of
+    largest(sample_model(model, n, ...), k), from its own draws.
+
+    A row draws only its bases above tau = q + x (thinning; Devroye,
+    Non-Uniform Random Variate Generation, 1986): their count N is
+    Binomial(n, pi), and since E is memoryless each is tau + f(D) * E with
+    D weighted by exp(-x / f(D)) (_thinning sets x so that about
+    OVERSAMPLE * k are drawn).  The angular kind multiplies each by
+    min(sin Theta, cos Theta) of a fresh Theta.  The other n - N values are
+    at most tau * bound (bound 1 for the direct kind, ANGULAR_BOUND for the
+    angular one), so a row whose k-th largest drawn value reaches it is
+    complete; any other row draws its n - N bases below tau (_below) and
+    takes the top k of all n.  Rows are drawn BLOCK at a time, always in
+    whole blocks, so row r's draws do not depend on ``rows``.
+    """
+    _check_k(n, k)
+    tau, pi, scale, weights = _thinning(model, n, k)
+    prob, alias = _alias(weights)
+    cutoff = tau * (ANGULAR_BOUND if model.kind == "angular" else 1.0)
     pool_scale = model.scale.table[model.day_pool - 1]
     out = np.empty((rows, k))
-    if model.kind == "direct":
-        block = np.empty((min(BLOCK, rows), n))
-        for start in range(0, rows, BLOCK):
-            part = block[:min(BLOCK, rows - start)]
-            for row in part:
-                _draw(model, pool_scale, rng, row)
-            out[start:start + len(part)] = largest(part, k)
-        return out
-    base, u = np.empty(n), np.empty(n)
-    for r in range(rows):
-        _draw(model, pool_scale, rng, base, u)
-        # the bound needs base >= 0, which q >= 0 guarantees
-        if n <= PREPASS * k or model.q < 0.0:
-            out[r] = largest(_angular(base, u), k)
-            continue
-        pre = np.argpartition(base, n - PREPASS * k)[n - PREPASS * k:]
-        floor = largest(_angular(base[pre], u[pre]), k)[0]
-        keep = np.flatnonzero(base * ANGULAR_BOUND >= floor)
-        out[r] = largest(_angular(base[keep], u[keep]), k)
+    for start in range(0, rows, BLOCK):
+        counts = rng.binomial(n, pi, size=BLOCK)
+        total = int(counts.sum())
+        day = rng.integers(0, scale.size, size=total)
+        values = scale[np.where(rng.random(total) < prob[day], day, alias[day])]
+        values *= rng.standard_exponential(total)
+        values += tau
+        if model.kind == "angular":
+            values = _angular(values, rng.random(total))
+        ends = np.cumsum(counts)
+        padded = np.full((BLOCK, max(int(counts.max()), k)), -np.inf)
+        padded[np.repeat(np.arange(BLOCK), counts),
+               np.arange(total) - np.repeat(ends - counts, counts)] = values
+        tops = largest(padded, k)
+        for r in np.flatnonzero((counts < n) & (tops[:, 0] < cutoff)):
+            drawn = values[ends[r] - counts[r]:ends[r]]
+            tops[r] = largest(np.concatenate(
+                [drawn, _below(model, pool_scale, rng, tau, n - counts[r])]), k)
+        out[start:start + BLOCK] = tops[:rows - start]
     return out
 
 
 def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
-    """The k largest values of ``sample_model(model, n, seed)``, ascending,
-    bit for bit: one row of sample_tops on default_rng(seed)."""
-    return sample_tops(model, n, k, np.random.default_rng(seed), 1)[0]
+    """The k largest values of ``sample_model(model, n, seed)``, ascending."""
+    _check_k(n, k)
+    return largest(sample_model(model, n, seed), k)
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:

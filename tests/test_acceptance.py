@@ -267,6 +267,7 @@ def scenario_pipeline(seed: int):
     return estimate_frequency(model, SCENARIO_TARGET, observed, cfg)
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_coverage():
     # 200 independent synthetic pipelines against the brute-force oracle
     # frequency: the 0.92 interval must contain round(50 phi)/50 in at
@@ -311,6 +312,7 @@ def small_pipeline_config(out_dir: str) -> PipelineConfig:
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_grid_property(tmp_path):
     # Every emitted point estimate and interval bound times 50 must be an
     # integer.
@@ -332,6 +334,7 @@ def test_criterion_8_grid_property(tmp_path):
     assert lines, "answer.csv has no data rows"
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(tmp_path):
     # The full pipeline with a fixed seed must be byte-identical across runs.
     dirs = (tmp_path / "a", tmp_path / "b")

@@ -17,14 +17,13 @@ from potbet import (
     null_calibration,
     reduce_target,
     run_rounds,
-    sample_model,
     sample_top,
     select_level,
     top_spacings,
 )
 from potbet import betting
 from potbet.betting import CALIBRATION_KEY, GameInfeasibleError, level_seed
-from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values
+from potbet.potmodel import MIN_QQ_VALUES, observed_exceedance_values, sample_tops
 
 
 class TestBettingState:
@@ -343,15 +342,15 @@ class TestNullCalibration:
 
 def reference_calibration(model, cfg, trials, n):
     """null_calibration's per-trial definition: trial i plays one scalar game
-    on two full samples, the observed side then the model side, drawn by
-    successive sample_model calls on one Generator."""
+    on rows 2i (observed side) and 2i + 1 (model side) of sample_tops on one
+    Generator."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, CALIBRATION_KEY]))
+    tops = sample_tops(model, n, cfg.K + 1, rng, 2 * trials)
     wealths = np.empty(trials)
     rejections = 0
     for i in range(trials):
-        obs = sample_model(model, n, rng)
-        result = run_rounds(top_spacings(obs, cfg.K),
-                            top_spacings(sample_model(model, n, rng), cfg.K),
+        result = run_rounds(top_spacings(tops[2 * i], cfg.K),
+                            top_spacings(tops[2 * i + 1], cfg.K),
                             clip=cfg.clip, alpha=cfg.alpha)
         wealths[i] = result.terminal_wealth
         rejections += result.rejection_round is not None

@@ -471,6 +471,15 @@ class TestTransientMemory:
         peak = _traced_peak(lambda: spec.sample_days(np.random.default_rng(0), doy))
         assert peak < 1.6 * panel.runs[0].values.nbytes
 
+    def test_oracle_reduces_one_row_block_at_a_time(self):
+        # the unit here is one chunk's (chunk_days, 25) values, which the
+        # oracle never holds; its per-day arrays are about a fifth of it
+        days = 1_000_000
+        target = TargetSpec.canonical("T3")
+        peak = _traced_peak(lambda: ground_truth_frequency(
+            SynthSpec(), target, oracle_days=days, chunk_days=days))
+        assert peak < 0.3 * days * ingest.N_LOCATIONS * 8
+
 
 class TestGroundTruthOracle:
     def test_impossible_event_is_zero(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from potbet import (
     CyclicScale,
@@ -26,14 +26,16 @@ from potbet import (
     sample_model,
     sample_top,
 )
-from potbet.potmodel import sample_tops
+from potbet import potmodel
 from potbet.potmodel import (
     ANGULAR_BOUND,
     BLOCK,
-    PREPASS,
+    OVERSAMPLE,
     ExceedanceSet,
     LevelTooHighError,
     cyclic_design_matrix,
+    largest,
+    sample_tops,
 )
 from potbet.reduce import InsufficientDataError
 
@@ -345,34 +347,20 @@ class TestSampleTop:
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_top_k_of_sample_model_bit_for_bit(self, which, k, extra, seed):
-        # extra = 0 is n = k; small extras give n < PREPASS * k
+        # extra = 0 is n = k
         model = SAMPLE_TOP_MODELS[which]
         n = k + extra
         want = np.sort(sample_model(model, n, seed))[-k:]
         assert np.array_equal(sample_top(model, n, k, seed), want)
 
     @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
-    def test_pruned_path_at_calibration_sizes(self, which):
+    def test_top_k_at_calibration_sizes(self, which):
         model = SAMPLE_TOP_MODELS[which]
         for k in (3, 6, 26, 61):
             n = 3649
-            assert n > PREPASS * k
             for seed in range(5):
                 want = np.sort(sample_model(model, n, seed))[-k:]
                 assert np.array_equal(sample_top(model, n, k, seed), want)
-
-    @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
-    @pytest.mark.parametrize("n,k", [(3649, 1), (3649, 6), (3649, 26), (200, 26), (26, 26)])
-    def test_rows_equal_sample_top(self, which, n, k):
-        # 2 * BLOCK + 3 rows: two full blocks and a part block of direct rows;
-        # row r is the top k of the r-th sample_model call on a twin Generator
-        model = SAMPLE_TOP_MODELS[which]
-        rows = 2 * BLOCK + 3
-        tops = sample_tops(model, n, k, np.random.default_rng(100), rows)
-        twin = np.random.default_rng(100)
-        assert tops.shape == (rows, k)
-        for row in tops:
-            assert np.array_equal(row, np.sort(sample_model(model, n, twin))[-k:])
 
     @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
     def test_k_outside_one_to_n_rejected(self, n, k):
@@ -389,6 +377,76 @@ class TestSampleTop:
         ])
         factor = np.minimum(np.sin(theta), np.cos(theta))
         assert factor.max() <= math.sqrt(2.0) / 2.0 < ANGULAR_BOUND
+
+
+def reference_tops(model, n, k, rng, rows, chunk=500):
+    """rows rows of largest(sample_model(model, n, ...), k); the draws are
+    iid, so chunk samples of n come from one sample_model call of chunk * n."""
+    out = []
+    for start in range(0, rows, chunk):
+        m = min(chunk, rows - start)
+        out.append(largest(sample_model(model, n * m, rng).reshape(m, n), k))
+    return np.concatenate(out)
+
+
+class TestSampleTops:
+    """sample_tops draws its own stream, so its rows are compared with the top
+    k of sample_model's samples in law: a two-sample KS test on every order
+    statistic and every normalised spacing, at fixed seeds."""
+
+    @pytest.mark.parametrize("which,n,k,oversample,completes", [
+        (0, 500, 6, OVERSAMPLE, False),    # direct, thinned
+        (1, 500, 6, OVERSAMPLE, True),     # angular, thinned: a few rows complete
+        (0, 500, 6, 1, True),              # direct: rows with fewer than k bases above tau
+        (1, 500, 6, 4, True),              # angular: most rows complete
+        (1, 60, 6, OVERSAMPLE, False),     # n <= OVERSAMPLE * k: every base is drawn
+        (0, 500, 1, OVERSAMPLE, False),    # the maximum alone
+        (1, 1000, 26, OVERSAMPLE, False),  # K = 25: no row completes
+        (4, 500, 6, OVERSAMPLE, True),     # one scale, q > 0
+    ])
+    def test_rows_have_the_law_of_sample_model_tops(self, monkeypatch, which, n, k,
+                                                    oversample, completes):
+        model, rows = SAMPLE_TOP_MODELS[which], 20_000
+        monkeypatch.setattr(potmodel, "OVERSAMPLE", oversample)
+        completions, below = [], potmodel._below
+
+        def counted(*args):
+            completions.append(args[-1])
+            return below(*args)
+
+        monkeypatch.setattr(potmodel, "_below", counted)
+        tops = sample_tops(model, n, k, np.random.default_rng(1), rows)
+        want = reference_tops(model, n, k, np.random.default_rng(2), rows)
+        assert (len(completions) > 0) == completes
+        spacing = np.arange(k - 1, 0, -1)
+        for got, ref in [*zip(tops.T, want.T),
+                         *zip((spacing * np.diff(tops)).T, (spacing * np.diff(want)).T)]:
+            assert stats.ks_2samp(got, ref).pvalue >= 1e-4
+
+    def test_threshold_draws_oversample_k_bases(self):
+        model, n, k = SAMPLE_TOP_MODELS[1], 3649, 6
+        tau, pi, _, _ = potmodel._thinning(model, n, k)
+        assert tau > model.q
+        assert n * pi == pytest.approx(OVERSAMPLE * k, rel=1e-9)
+        # no threshold at n <= OVERSAMPLE * k or q < 0: every base is drawn
+        for size, m in ((OVERSAMPLE * k, model), (n, flat_model(kind="angular", q=-2.0))):
+            assert potmodel._thinning(m, size, k)[:2] == (m.q, 1.0)
+
+    @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_rows_do_not_depend_on_the_row_count(self, which, k):
+        # whole blocks are drawn, completions included, so row r's draws
+        # depend on r alone
+        model = SAMPLE_TOP_MODELS[which]
+        full = sample_tops(model, 3649, k, np.random.default_rng(100), 2 * BLOCK + 3)
+        for rows in (1, BLOCK - 1, BLOCK, BLOCK + 1):
+            part = sample_tops(model, 3649, k, np.random.default_rng(100), rows)
+            assert np.array_equal(part, full[:rows])
+
+    @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        with pytest.raises(ValueError, match="k="):
+            sample_tops(flat_model(), n, k, np.random.default_rng(0), 3)
 
 
 class TestDayPool:
