@@ -41,6 +41,8 @@ class EstimateConfig:
             raise ValueError(f"n_replications must be <= {np.iinfo(np.intp).max // 8}")
         if not 0.5 < self.confidence < 1.0:
             raise ValueError("confidence must be in (0.5, 1)")
+        if self.confidence > 0.999999:  # poisson_pmf's masses sum to 1 only within ~1e-9
+            raise ValueError("confidence must be <= 0.999999, the most the interval search reaches")
         if not 0 <= self.given_runs < self.total_runs:
             raise ValueError("need 0 <= given_runs < total_runs")
         if self.years < 1:

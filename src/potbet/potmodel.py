@@ -8,7 +8,8 @@ standard exponential (tail shape fixed at zero throughout).
 sample_model draws a sample of n values and sample_top its k largest.
 sample_tops draws many rows of a sample's k largest in law, not bit for
 bit: it draws only the values above a threshold, about OVERSAMPLE * k of
-them, and the rest only when they could reach the top k.
+them, their days as a multinomial count per distinct pool day in random
+order, and the rest only when they could reach the top k.
 """
 
 from __future__ import annotations
@@ -281,21 +282,18 @@ OVERSAMPLE = 16
 BLOCK = 64
 
 
-def _draw(model: PotModel, pool_scale: np.ndarray, rng, base: np.ndarray, u=None) -> None:
-    """One RNG stream for every sampler: fill base with the bases q + f(D) * E
-    and, for the angular kind, u with the uniforms of Theta = (pi/2) * u.
+def _draw(model: PotModel, rng, n: int):
+    """One RNG stream for every sampler: n draws as (base, value), where
+    base = q + f(D) * E and value is base for the direct kind and
+    base * min(sin Theta, cos Theta), Theta = (pi/2) * u, for the angular one.
 
-    pool_scale is f at each day of the pool (scale.table[day_pool - 1]).  The
-    stream is that of rng.choice(day_pool, size=n), rng.exponential(size=n)
+    The stream is that of rng.choice(day_pool, size=n), rng.exponential(size=n)
     and rng.uniform(0, pi/2, size=n), bit for bit: exponential() is
     1.0 * standard_exponential() and uniform(0, pi/2) is 0.0 + (pi/2) * random().
     """
-    scale = pool_scale[rng.integers(0, pool_scale.size, size=base.size)]
-    rng.standard_exponential(out=base)
-    base *= scale
-    base += model.q
-    if u is not None:
-        rng.random(out=u)
+    f = model.scale.table[model.day_pool[rng.integers(0, model.day_pool.size, size=n)] - 1]
+    base = model.q + f * rng.standard_exponential(n)
+    return base, (base if model.kind == "direct" else _angular(base, rng.random(n)))
 
 
 def _angular(base: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -323,16 +321,13 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = np.empty(n)
-    u = np.empty(n) if model.kind == "angular" else None
-    _draw(model, model.scale.table[model.day_pool - 1], np.random.default_rng(seed), base, u)
-    return base if u is None else _angular(base, u)
+    return _draw(model, np.random.default_rng(seed), n)[1]
 
 
 def _thinning(model: PotModel, n: int, k: int):
     """The threshold tau = q + x of sample_tops, the probability pi that a
-    base exceeds it, and the scale and weight of each distinct pool day in
-    the law of D given a base above tau.
+    base exceeds it, the scale of each distinct pool day, and the law of D
+    over those days given a base above tau, normalised to sum to 1.
 
     Over the pool's distinct days d, with counts c_d and scales s_d,
     pi(x) = sum c_d exp(-x / s_d) / sum c_d, and x solves n * pi(x) =
@@ -355,36 +350,17 @@ def _thinning(model: PotModel, n: int, k: int):
             if step <= 1e-12 * x:
                 break
     weights = c * np.exp(-x / s)  # c itself at x = 0, so pi is exactly 1
-    return model.q + x, weights.sum() / c.sum(), s, weights
+    return model.q + x, weights.sum() / c.sum(), s, weights / weights.sum()
 
 
-def _alias(weights: np.ndarray):
-    """Walker's alias table of the law proportional to weights (Vose's
-    construction): draw i uniformly, keep it with probability prob[i], else
-    take alias[i]."""
-    prob = weights * (weights.size / weights.sum())
-    alias = np.arange(weights.size)
-    small = [i for i, p in enumerate(prob) if p < 1.0]
-    large = [i for i, p in enumerate(prob) if p >= 1.0]
-    while small and large:
-        lo, hi = small.pop(), large.pop()
-        alias[lo] = hi
-        prob[hi] -= 1.0 - prob[lo]
-        (small if prob[hi] < 1.0 else large).append(hi)
-    prob[small + large] = 1.0
-    return prob, alias
-
-
-def _below(model: PotModel, pool_scale: np.ndarray, rng, tau: float, size: int) -> np.ndarray:
+def _below(model: PotModel, rng, tau: float, size: int) -> np.ndarray:
     """size draws of the model whose base is at most tau: _draw's draws,
     by rejection."""
     parts = []
     while size > 0:
-        base = np.empty(size)
-        u = np.empty(size) if model.kind == "angular" else None
-        _draw(model, pool_scale, rng, base, u)
+        base, value = _draw(model, rng, size)
         keep = base <= tau
-        parts.append((base if u is None else _angular(base, u))[keep])
+        parts.append(value[keep])
         size -= int(np.count_nonzero(keep))
     return np.concatenate(parts)
 
@@ -398,7 +374,9 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
     Non-Uniform Random Variate Generation, 1986): their count N is
     Binomial(n, pi), and since E is memoryless each is tau + f(D) * E with
     D weighted by exp(-x / f(D)) (_thinning sets x so that about
-    OVERSAMPLE * k are drawn).  The angular kind multiplies each by
+    OVERSAMPLE * k are drawn).  A block's days are a multinomial count per
+    distinct pool day put in uniformly random order, which is the law of
+    that many iid days.  The angular kind multiplies each by
     min(sin Theta, cos Theta) of a fresh Theta.  The other n - N values are
     at most tau * bound (bound 1 for the direct kind, ANGULAR_BOUND for the
     angular one), so a row whose k-th largest drawn value reaches it is
@@ -407,16 +385,13 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
     whole blocks, so row r's draws do not depend on ``rows``.
     """
     _check_k(n, k)
-    tau, pi, scale, weights = _thinning(model, n, k)
-    prob, alias = _alias(weights)
+    tau, pi, scale, law = _thinning(model, n, k)
     cutoff = tau * (ANGULAR_BOUND if model.kind == "angular" else 1.0)
-    pool_scale = model.scale.table[model.day_pool - 1]
     out = np.empty((rows, k))
     for start in range(0, rows, BLOCK):
         counts = rng.binomial(n, pi, size=BLOCK)
         total = int(counts.sum())
-        day = rng.integers(0, scale.size, size=total)
-        values = scale[np.where(rng.random(total) < prob[day], day, alias[day])]
+        values = rng.permutation(np.repeat(scale, rng.multinomial(total, law)))
         values *= rng.standard_exponential(total)
         values += tau
         if model.kind == "angular":
@@ -429,7 +404,7 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
         for r in np.flatnonzero((counts < n) & (tops[:, 0] < cutoff)):
             drawn = values[ends[r] - counts[r]:ends[r]]
             tops[r] = largest(np.concatenate(
-                [drawn, _below(model, pool_scale, rng, tau, n - counts[r])]), k)
+                [drawn, _below(model, rng, tau, n - counts[r])]), k)
         out[start:start + BLOCK] = tops[:rows - start]
     return out
 

@@ -490,6 +490,7 @@ class TestConfigAndErrors:
         ({"max_level": 0.5}, "max_level must be >= the smallest grid level 0.9, got 0.5"),
         ({"synth": {"n_runs": 4, "years_per_run": 25, "seasonal_amplitude": 3.0}},
          "seasonal_amplitude must be in [0, 1]"),
+        ({"confidence": 0.999999999999}, "confidence must be <= 0.999999"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

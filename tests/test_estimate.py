@@ -323,6 +323,14 @@ class TestEstimateConfig:
         with pytest.raises(ValueError, match="n_replications must be <= "):
             EstimateConfig(n_replications=most + 1)
 
+    def test_confidence_the_interval_search_cannot_reach_rejected(self):
+        # poisson_pmf's masses sum to 1 - 6.0e-10 at T1's paper-scale lambda,
+        # so poisson_interval cannot reach a confidence closer to 1 than that
+        assert EstimateConfig(confidence=0.999999).confidence == 0.999999
+        assert poisson_interval(5.6e5, 0.999999)[2] >= 0.999999 - 1e-12
+        with pytest.raises(ValueError, match=r"confidence must be <= 0\.999999"):
+            EstimateConfig(confidence=0.999999999999)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EstimateConfig(n_replications=10)
