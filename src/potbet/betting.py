@@ -37,7 +37,6 @@ class GameConfig:
 
     K: int = 3
     alpha: float = 0.05
-    clip: float = 1.0
     level_grid: tuple = DEFAULT_LEVEL_GRID
     max_level: float = 0.9997  # levels above this stay in the grid but are never selected
     seed: int = 0
@@ -48,8 +47,6 @@ class GameConfig:
             raise ValueError("K must be >= 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if not 0.0 < self.clip < 2.0:
-            raise ValueError("clip must be in (0, 2) to keep capital positive")
         if not self.level_grid:
             raise ValueError("level_grid must be non-empty")
         if not all(0.0 < p < 1.0 for p in self.level_grid):
@@ -124,13 +121,13 @@ def top_spacings(values: np.ndarray, K: int) -> np.ndarray:
     return np.arange(K, 0, -1) * np.diff(potmodel.largest(values, K + 1), axis=-1)
 
 
-def _play(obs: np.ndarray, mod: np.ndarray, clip: float, alpha: float):
+def _play(obs: np.ndarray, mod: np.ndarray, alpha: float):
     """Play games round by round on the last axis; leading axes index games.
 
     Returns the wealth paths and, per game, the first round whose wealth
     reached 1/alpha (Ville), or -1 where none did.
     """
-    state = BettingState(clip=clip)
+    state = BettingState()
     path = np.empty(obs.shape)
     for k in range(obs.shape[-1]):
         path[..., k] = state.step(obs[..., k], mod[..., k])
@@ -139,13 +136,13 @@ def _play(obs: np.ndarray, mod: np.ndarray, clip: float, alpha: float):
 
 
 def run_rounds(
-    obs_rounds: np.ndarray, model_rounds: np.ndarray, clip: float, alpha: float
+    obs_rounds: np.ndarray, model_rounds: np.ndarray, alpha: float
 ) -> GameResult:
     """Play the game on paired per-round values, in the order given.
 
-    Round k bets on model_rounds[k] - obs_rounds[k] (clipped by
-    BettingState).  select_level passes the top_spacings of each side, so
-    when the model is coherent with the observations the pairs are
+    Round k bets on model_rounds[k] - obs_rounds[k], clipped to [-1, 1] by
+    a default BettingState.  select_level passes the top_spacings of each
+    side, so when the model is coherent with the observations the pairs are
     exchangeable within a round and (exactly for one exponential scale)
     independent across rounds.
     """
@@ -153,7 +150,7 @@ def run_rounds(
     mod = np.asarray(model_rounds, dtype=np.float64)
     if obs.shape != mod.shape:
         raise ValueError("observed and model sides must have equal length")
-    path, first = _play(obs, mod, clip, alpha)
+    path, first = _play(obs, mod, alpha)
     return GameResult(terminal_wealth=float(path[-1]), wealth_path=path,
                       rejection_round=None if first < 0 else int(first))
 
@@ -230,8 +227,7 @@ def select_level(
             continue
         sample = potmodel.sample_top(model, y_obs.size, cfg.K + 1,
                                      level_seed(cfg.seed, p))
-        results[p] = run_rounds(obs_rounds, top_spacings(sample, cfg.K),
-                                clip=cfg.clip, alpha=cfg.alpha)
+        results[p] = run_rounds(obs_rounds, top_spacings(sample, cfg.K), alpha=cfg.alpha)
     selectable = [p for p in results if p <= cfg.max_level]
     if not selectable:
         detail = "; ".join(f"p={p}: {msg}" for p, msg in failures.items())
@@ -253,21 +249,20 @@ class CalibrationReport:
 
 
 def null_calibration(
-    model: potmodel.PotModel,
-    cfg: GameConfig,
-    trials: int,
-    n_sample: Optional[int] = None,
+    model: potmodel.PotModel, cfg: GameConfig, trials: int
 ) -> CalibrationReport:
     """Simulate games with both sides drawn from the model (null true).
 
-    Reports the Ville rejection fraction at cfg.alpha and the mean terminal
-    wealth.  Both samples come from one model, so each round's observed and
-    model spacings are exchangeable and the clipped difference has mean 0
-    given the earlier rounds: the wealth is a test martingale, with mean 1,
-    and by Ville's inequality crosses 1/alpha with probability <= alpha.
-    This is exact when the model has a single exponential scale (the
-    normalised spacings are then iid, Renyi 1953); for the seasonal mixture
-    that sample_model draws it holds closely but not exactly.
+    Each side is a sample of model.day_pool.size values, the size
+    select_level's game plays at.  Reports the Ville rejection fraction at
+    cfg.alpha and the mean terminal wealth.  Both samples come from one
+    model, so each round's observed and model spacings are exchangeable and
+    the clipped difference has mean 0 given the earlier rounds: the wealth
+    is a test martingale, with mean 1, and by Ville's inequality crosses
+    1/alpha with probability <= alpha.  This is exact when the model has a
+    single exponential scale (the normalised spacings are then iid, Renyi
+    1953); for the seasonal mixture that sample_model draws it holds closely
+    but not exactly.
 
     All trials draw from one Generator, seeded by SeedSequence([cfg.seed,
     CALIBRATION_KEY]), through sample_tops: each row has the law of a
@@ -279,12 +274,12 @@ def null_calibration(
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    n = n_sample if n_sample is not None else int(model.day_pool.size)
+    n = int(model.day_pool.size)
     if n < cfg.K + 1:
         raise GameInfeasibleError(f"sample size {n} < K+1={cfg.K + 1}")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, CALIBRATION_KEY]))
     spacings = top_spacings(potmodel.sample_tops(model, n, cfg.K + 1, rng, 2 * trials), cfg.K)
-    path, first = _play(spacings[0::2], spacings[1::2], cfg.clip, cfg.alpha)
+    path, first = _play(spacings[0::2], spacings[1::2], cfg.alpha)
     wealths = path[:, -1]
     rejections = int(np.count_nonzero(first >= 0))
     return CalibrationReport(

@@ -21,8 +21,7 @@ from . import reduce as reduce_mod
 
 # the JSON type of each list field of a config or a synth block
 _LIST_TYPES = {"k_list": "list of int", "level_grid": "list of float",
-               "targets": "list of str", "data_paths": "list of str",
-               "spatial_loading": "list of float"}
+               "targets": "list of str", "data_paths": "list of str"}
 
 
 def _check_json(cls, obj: dict, what: str) -> None:
@@ -53,14 +52,12 @@ class PipelineConfig:
     level_grid: list = field(default_factory=lambda: list(betting.GameConfig.level_grid))
     max_level: float = betting.GameConfig.max_level
     alpha: float = betting.GameConfig.alpha
-    clip: float = betting.GameConfig.clip
     n_basis: int = betting.GameConfig.n_basis
     n_replications: int = estimate.EstimateConfig.n_replications
     confidence: float = estimate.EstimateConfig.confidence
     total_runs: int = estimate.EstimateConfig.total_runs
     given_runs: int = estimate.EstimateConfig.given_runs
     years: int = estimate.EstimateConfig.years
-    emit_plot_data: bool = True
     out_dir: str = "."
 
     def __post_init__(self):
@@ -204,10 +201,10 @@ def _emit_plot_data(outdir, cfg, target, model):
 
 def _emit_poisson_plot(outdir, cfg, tid, est):
     counts = est.counts
-    # counts below both the smallest replicated one and the Poisson 1e-9
-    # quantile carry no mass worth a row; at a mean of 1e5 they are 98% of them
+    # the rows hold every replicated count and both Poisson tails to 1e-9;
+    # counts below them carry no mass worth a row (98% of them at a mean of 1e5)
     lo = min(int(counts.min()), int(estimate.poisson_ppf(1e-9, est.lam)))
-    hi = int(counts.max()) + 1
+    hi = max(int(counts.max()) + 1, int(estimate.poisson_ppf(1 - 1e-9, est.lam)))
     ks = np.arange(lo, hi + 1)
     pois = estimate.poisson_pmf(ks, est.lam)
     emp = np.bincount(counts - lo, minlength=hi - lo + 1) / len(counts)
@@ -234,9 +231,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
             model = selection.fits[selection.p_star]
             _write_model(outdir, model)
             est, row = _estimate(cfg, target, spec, model)
-            if cfg.emit_plot_data:
-                _emit_plot_data(outdir, cfg, target, model)
-                _emit_poisson_plot(outdir, cfg, tid, est)
+            _emit_plot_data(outdir, cfg, target, model)
+            _emit_poisson_plot(outdir, cfg, tid, est)
             # answered only once every output of the target succeeded
             answer_rows.append(row)
             report[tid] = {"p_star": selection.p_star, "point": est.point,

@@ -145,8 +145,8 @@ class SynthSpec:
 
     Each day t draws a latent factor Z_t = s(d_t) * E_t with E_t standard
     exponential and s(d) = tail_scale * (1 + seasonal_amplitude * sin(2*pi*d/365)).
-    Location j observes spatial_loading[j] * Z_t plus independent unit-
-    exponential noise.  The seed fully determines the dataset.
+    Every location observes Z_t plus independent unit-exponential noise.
+    The seed fully determines the dataset.
     """
 
     n_runs: int = 4
@@ -154,12 +154,8 @@ class SynthSpec:
     seed: int = 0
     seasonal_amplitude: float = 0.5
     tail_scale: float = 1.0
-    spatial_loading: np.ndarray = field(
-        default_factory=lambda: np.ones(N_LOCATIONS)
-    )
 
     def __post_init__(self):
-        self.spatial_loading = np.asarray(self.spatial_loading, dtype=np.float64)
         if self.n_runs < 1 or self.years_per_run < 1:
             raise ValueError("n_runs and years_per_run must be >= 1")
         if self.seed < 0:
@@ -169,10 +165,6 @@ class SynthSpec:
             raise ValueError("seasonal_amplitude must be in [0, 1]")
         if self.tail_scale <= 0:
             raise ValueError("tail_scale must be > 0")
-        if self.spatial_loading.shape != (N_LOCATIONS,):
-            raise ValueError(f"spatial_loading must have length {N_LOCATIONS}")
-        if np.any(self.spatial_loading <= 0) or np.any(self.spatial_loading > 1):
-            raise ValueError("spatial_loading entries must lie in (0, 1]")
 
     def row_blocks(self, rng, day_of_year: np.ndarray, out=None):
         """Yield the values of the given days ROW_BLOCK rows at a time: the
@@ -181,7 +173,7 @@ class SynthSpec:
 
         rng draws all of Z's exponentials first, then the noise block by
         block; successive fills draw the stream one (n_days, 25)
-        `rng.exponential` call gave.  Each block is loading * Z + noise.
+        `rng.exponential` call gave.  Each block is Z + noise.
         """
         d = np.asarray(day_of_year, dtype=np.float64)
         s = self.tail_scale * (
@@ -194,7 +186,7 @@ class SynthSpec:
             rows = min(ROW_BLOCK, d.size - i)
             part = out[i:i + rows] if len(out) == d.size else out[:rows]
             rng.standard_exponential(out=part)
-            part += self.spatial_loading * z[i:i + ROW_BLOCK, None]
+            part += z[i:i + ROW_BLOCK, None]
             yield part
 
     def sample_days(self, rng, day_of_year: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tests for the order-statistic betting game and level selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,15 +91,15 @@ class TestRunRounds:
     def test_plays_from_kth_largest_to_maximum(self):
         # rounds are played in the order given: diffs 0.5, 0.5, -1, one step each
         obs, mod = [1.0, 2.0, 3.0], [1.5, 2.5, 2.0]
-        res = run_rounds(obs, mod, clip=1.0, alpha=0.05)
+        res = run_rounds(obs, mod, alpha=0.05)
         state = BettingState()
         assert np.array_equal(res.wealth_path, [state.step(o, m) for o, m in zip(obs, mod)])
         assert res.wealth_path == pytest.approx([1.0, 1.0625, 0.8125])
-        backwards = run_rounds(obs[::-1], mod[::-1], clip=1.0, alpha=0.05)
+        backwards = run_rounds(obs[::-1], mod[::-1], alpha=0.05)
         assert backwards.wealth_path == pytest.approx([1.0, 0.875, 0.8125])
 
     def test_identical_sides_terminal_wealth_one(self):
-        res = run_rounds([4.0, 5.0, 9.0], [4.0, 5.0, 9.0], clip=1.0, alpha=0.05)
+        res = run_rounds([4.0, 5.0, 9.0], [4.0, 5.0, 9.0], alpha=0.05)
         assert res.terminal_wealth == 1.0
         assert res.rejection_round is None
 
@@ -143,21 +144,21 @@ class TestTopSpacings:
 
 class TestVille:
     def test_flat_path_never_rejects(self):
-        res = run_rounds([1.0, 2.0], [1.0, 2.0], clip=1.0, alpha=0.05)
+        res = run_rounds([1.0, 2.0], [1.0, 2.0], alpha=0.05)
         assert res.rejection_round is None
 
     def test_rejection_at_threshold_twenty(self):
         # clipped diffs of 1 every round: W crosses 1/alpha = 20 in round 9
-        res = run_rounds(np.zeros(20), np.ones(20), clip=1.0, alpha=0.05)
+        res = run_rounds(np.zeros(20), np.ones(20), alpha=0.05)
         assert res.rejection_round == 9
         assert res.wealth_path[8] < 20.0 <= res.wealth_path[9]
 
     def test_wealth_equal_to_the_threshold_rejects(self):
         # round 0's wealth is exactly 1: it rejects at 1/alpha = 1, not above
         flat = ([1.0, 2.0], [1.0, 2.0])
-        assert run_rounds(*flat, clip=1.0, alpha=1.0).rejection_round == 0
+        assert run_rounds(*flat, alpha=1.0).rejection_round == 0
         alpha = np.nextafter(1.0, 0.0)  # 1/alpha just above 1
-        assert run_rounds(*flat, clip=1.0, alpha=alpha).rejection_round is None
+        assert run_rounds(*flat, alpha=alpha).rejection_round is None
 
 
 def small_target(seed=0, years=20):
@@ -171,8 +172,6 @@ class TestGameConfig:
             GameConfig(K=1)
         with pytest.raises(ValueError):
             GameConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            GameConfig(clip=2.5)
         with pytest.raises(ValueError):
             GameConfig(level_grid=())
         # no level at or below max_level could ever be selected
@@ -225,7 +224,7 @@ class TestSelectLevel:
         y_obs = observed_exceedance_values(target, model)
         sample = sample_top(model, y_obs.size, 6, level_seed(77, 0.9))
         expected = run_rounds(top_spacings(y_obs, 5), top_spacings(sample, 5),
-                              clip=cfg.clip, alpha=cfg.alpha)
+                              alpha=cfg.alpha)
         assert len(sel.results[0.9].wealth_path) == 5
         assert np.array_equal(sel.results[0.9].wealth_path, expected.wealth_path)
 
@@ -301,13 +300,13 @@ class TestNullCalibration:
             null_calibration(model, GameConfig(), trials=0)
 
     def test_wealth_bounds_and_unreachable_threshold(self):
-        # With K = 5 and clip = 1 every per-round factor lies in [0.5, 1.5],
+        # With K = 5 and the clip at 1 every per-round factor lies in [0.5, 1.5],
         # so terminal wealth is confined to [0.5^5, 1.5^5] and the Ville
         # threshold 1/alpha = 10 > 1.5^5 can never be crossed.
         target = small_target(seed=6, years=30)
         model = fit_pot_model(target, 0.95, n_basis=4)
         cfg = GameConfig(K=5, alpha=0.1, seed=11)
-        rep = null_calibration(model, cfg, trials=500, n_sample=200)
+        rep = null_calibration(model, cfg, trials=500)
         assert rep.trials == 500
         assert rep.terminal_wealths.shape == (500,)
         assert np.all(rep.terminal_wealths >= 0.5**5 - 1e-12)
@@ -322,10 +321,7 @@ class TestNullCalibration:
         target = small_target(seed=6, years=30)
         model = fit_pot_model(target, 0.95, n_basis=4)
         for k in (5, 25):
-            rep = null_calibration(
-                model, GameConfig(K=k, alpha=0.1, seed=11), trials=500,
-                n_sample=200,
-            )
+            rep = null_calibration(model, GameConfig(K=k, alpha=0.1, seed=11), trials=500)
             se = rep.sd_terminal_wealth / math.sqrt(rep.trials)
             assert abs(rep.mean_terminal_wealth - 1.0) <= 5.0 * se, k
             assert rep.rejection_fraction <= 0.12, k
@@ -334,24 +330,23 @@ class TestNullCalibration:
         target = small_target(seed=6, years=30)
         model = fit_pot_model(target, 0.95, n_basis=4)
         cfg = GameConfig(K=4, alpha=0.1, seed=23)
-        rep1 = null_calibration(model, cfg, trials=200, n_sample=150)
-        rep2 = null_calibration(model, cfg, trials=200, n_sample=150)
+        rep1 = null_calibration(model, cfg, trials=200)
+        rep2 = null_calibration(model, cfg, trials=200)
         assert np.array_equal(rep1.terminal_wealths, rep2.terminal_wealths)
         assert rep1.rejection_fraction == rep2.rejection_fraction
 
 
-def reference_calibration(model, cfg, trials, n):
+def reference_calibration(model, cfg, trials):
     """null_calibration's per-trial definition: trial i plays one scalar game
     on rows 2i (observed side) and 2i + 1 (model side) of sample_tops on one
-    Generator."""
+    Generator, each a sample of the model's day_pool size."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, CALIBRATION_KEY]))
-    tops = sample_tops(model, n, cfg.K + 1, rng, 2 * trials)
+    tops = sample_tops(model, model.day_pool.size, cfg.K + 1, rng, 2 * trials)
     wealths = np.empty(trials)
     rejections = 0
     for i in range(trials):
         result = run_rounds(top_spacings(tops[2 * i], cfg.K),
-                            top_spacings(tops[2 * i + 1], cfg.K),
-                            clip=cfg.clip, alpha=cfg.alpha)
+                            top_spacings(tops[2 * i + 1], cfg.K), alpha=cfg.alpha)
         wealths[i] = result.terminal_wealth
         rejections += result.rejection_round is not None
     return wealths, rejections / trials
@@ -370,18 +365,19 @@ class TestBatchedCalibration:
         model = calibration_model(tid, p)
         cfg = GameConfig(K=k, alpha=0.1, seed=seed)
         rep = null_calibration(model, cfg, trials=300)
-        wealths, rejection = reference_calibration(model, cfg, 300,
-                                                   model.day_pool.size)
+        wealths, rejection = reference_calibration(model, cfg, 300)
         assert np.array_equal(rep.terminal_wealths, wealths)
         assert rep.rejection_fraction == rejection
         if k == 25:
             assert rejection > 0  # the running peak is exercised
 
     def test_equals_reference_at_k_plus_one_draws(self):
+        # a pool of 6 days: each side's sample is its K+1 = 6 largest values
         model = fit_pot_model(small_target(seed=6, years=30), 0.95, n_basis=4)
+        model = dataclasses.replace(model, day_pool=model.day_pool[:6])
         cfg = GameConfig(K=5, alpha=0.1, seed=4)
-        rep = null_calibration(model, cfg, trials=200, n_sample=6)
-        wealths, rejection = reference_calibration(model, cfg, 200, 6)
+        rep = null_calibration(model, cfg, trials=200)
+        wealths, rejection = reference_calibration(model, cfg, 200)
         assert np.array_equal(rep.terminal_wealths, wealths)
         assert rep.rejection_fraction == rejection
 

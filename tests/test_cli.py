@@ -289,9 +289,11 @@ class TestRunPipeline:
         ks = [int(r[0]) for r in rows]
         assert ks == list(range(ks[0], ks[-1] + 1))
         assert sum(float(r[2]) for r in rows) == pytest.approx(1.0)
-        assert float(rows[-1][2]) == 0.0  # one row above the largest count
-        # rows start where the Poisson mass below them is negligible, not at 0
+        assert float(rows[-1][2]) == 0.0  # a row above the largest count
+        # rows start where the Poisson mass below them is negligible, not at 0,
+        # and end where the mass above them is, not at the largest count
         assert ks[0] > 0 and stats.poisson.cdf(ks[0] - 1, lam) < 1e-9
+        assert stats.poisson.sf(ks[-1], lam) < 1e-9
 
     def test_level_too_small_for_qq_not_selected(self, tmp_path, capsys):
         # T2 once got p* = 0.9995 (18 exceedances) here, and its Q-Q report failed
@@ -446,11 +448,11 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("extra,message", [
         ({"seedx": 1}, "unknown config keys: ['seedx']"),
         ({"seed": "7"}, "config key 'seed' must be int, got '7'"),
-        ({"emit_plot_data": 1}, "config key 'emit_plot_data' must be bool"),
+        ({"emit_plot_data": True}, "unknown config keys: ['emit_plot_data']"),
         ({"confidence": True}, "config key 'confidence' must be float"),
         ({"k_list": [1]}, "K must be >= 2"),
         ({"alpha": 2}, "alpha must be in (0, 1)"),
-        ({"clip": 3}, "clip must be in (0, 2)"),
+        ({"clip": 1}, "unknown config keys: ['clip']"),
         ({"n_replications": 10}, "n_replications must be >= 100"),
         ({"confidence": 0.3}, "confidence must be in (0.5, 1)"),
         ({"given_runs": 60}, "need 0 <= given_runs < total_runs"),
@@ -466,16 +468,16 @@ class TestConfigAndErrors:
         ({"synth": {"n_runs": 1, "bogus": 1}}, "unknown synth keys: ['bogus']"),
         ({"synth": {"n_runs": "1"}}, "synth key 'n_runs' must be int, got '1'"),
         ({"synth": {"tail_scale": False}}, "synth key 'tail_scale' must be float"),
-        ({"synth": {"spatial_loading": ["1"]}},
-         "synth key 'spatial_loading' must be a list of float"),
+        ({"synth": {"spatial_loading": [1.0] * 25}},
+         "unknown synth keys: ['spatial_loading']"),
         ({"synth": {"n_runs": 0}}, "n_runs and years_per_run must be >= 1"),
         ({"targets": ["T2", "T2"]}, "targets repeats ['T2']"),
         ({"k_list": [3, 5, 3]}, "k_list repeats [3]"),
         ({"level_grid": [0.9, 0.99, 0.9]}, "level_grid repeats [0.9]"),
         ({"synth": {"tail_scale": 10**400}},
          "synth key 'tail_scale' must be float, got 1000000000"),
-        ({"synth": {"spatial_loading": [float("nan")] + [1.0] * 24}},
-         "synth key 'spatial_loading' must be a list of float, got [nan, 1.0"),
+        ({"level_grid": [float("nan"), 0.9]},
+         "config key 'level_grid' must be a list of float, got [nan, 0.9]"),
         ({"targets": []}, "targets must be non-empty"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"seed": -1, "synth": {"n_runs": 4, "years_per_run": 25, "seed": 1}},
@@ -535,7 +537,7 @@ class TestConfigAndErrors:
             assert not (tmp_path / "out").exists()  # rejected before any output
 
     def test_stage_configs_copy_the_shared_fields_by_name(self):
-        cfg = PipelineConfig(level_grid=[0.99, 0.9], max_level=0.995, alpha=0.1, clip=0.5,
+        cfg = PipelineConfig(level_grid=[0.99, 0.9], max_level=0.995, alpha=0.1,
                              seed=7, n_basis=6, n_replications=200, total_runs=40,
                              given_runs=3, years=20, confidence=0.9)
         game, est = cfg.game_config(4), cfg.estimate_config()
@@ -544,7 +546,7 @@ class TestConfigAndErrors:
             for f in dataclasses.fields(stage):
                 assert f.name == "K" or getattr(stage, f.name) != f.default, f.name
         assert game == betting.GameConfig(
-            K=4, alpha=cfg.alpha, clip=cfg.clip,
+            K=4, alpha=cfg.alpha,
             level_grid=tuple(cfg.level_grid), max_level=cfg.max_level,
             seed=cfg.seed, n_basis=cfg.n_basis,
         )
@@ -564,24 +566,24 @@ class TestConfigAndErrors:
 
     def test_default_config_hash_is_pinned(self):
         # every output's first line carries this hash: a default or a field
-        # that drifts changes every file
-        assert PipelineConfig().config_hash() == "b2c3d9f15fde96f3"
+        # that drifts changes every file (clip and emit_plot_data left the
+        # config, and its hash, with b2c3d9f15fde96f3)
+        assert PipelineConfig().config_hash() == "59cb0fdbb6cf5730"
 
     def test_synth_config_takes_every_synth_spec_field(self, tmp_path):
         synth = {"n_runs": 1, "years_per_run": 2, "seed": 3, "seasonal_amplitude": 0,
-                 "tail_scale": 2, "spatial_loading": [0.5] * 25}
+                 "tail_scale": 2}
         spec = PipelineConfig.from_file(small_config(tmp_path, synth=synth)).synth_spec()
         assert (spec.n_runs, spec.years_per_run, spec.seed) == (1, 2, 3)
         assert (spec.seasonal_amplitude, spec.tail_scale) == (0, 2)
-        assert np.array_equal(spec.spatial_loading, np.full(25, 0.5))
         # the config's seed is the default, and a synth flag overrides the file
         cfg = PipelineConfig(seed=9, synth={"n_runs": 1})
         assert cfg.synth_spec().seed == 9
         assert cfg.synth_spec(n_runs=2, tail_scale=None).n_runs == 2
 
     def test_config_accepts_int_for_float_and_null_synth(self, tmp_path):
-        cfg = PipelineConfig.from_file(small_config(tmp_path, clip=1, synth=None))
-        assert cfg.clip == 1 and cfg.synth is None
+        cfg = PipelineConfig.from_file(small_config(tmp_path, max_level=1, synth=None))
+        assert cfg.max_level == 1 and cfg.synth is None
 
     @given(st.text(min_size=1, max_size=8).filter(lambda k: k not in CONFIG_FIELDS),
            JSON_VALUES)
@@ -591,7 +593,6 @@ class TestConfigAndErrors:
 
     @given(st.sampled_from(sorted(CONFIG_FIELDS)), JSON_VALUES)
     @example("seed", True)  # a bool is an int in Python, not in the config
-    @example("emit_plot_data", 0)
     @example("seed", None)  # null is taken only where the default is None
     @example("years", 25.0)
     @settings(max_examples=150, deadline=None)
@@ -637,7 +638,6 @@ class TestConfigAndErrors:
                    "seasonal_amplitude": 0.5},
             targets=["T2"], seed=5, k_list=[3], level_grid=[0.9, 0.95],
             n_replications=100, years=25, out_dir=str(tmp_path),
-            emit_plot_data=False,
         )
         report = run_pipeline(cfg)
         assert report["errors"] == {}

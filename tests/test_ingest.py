@@ -343,40 +343,39 @@ class TestSynthetic:
         assert abs(hits - expected) < 5 * np.sqrt(expected)
 
     @staticmethod
-    def _assert_loaded_factor_plus_noise(n_days):
+    def _assert_factor_plus_noise(n_days):
         # the law written out as it was first drawn, on a twin generator
-        spec = SynthSpec(seasonal_amplitude=0.3, tail_scale=2.5,
-                         spatial_loading=np.linspace(0.2, 1.0, 25))
+        spec = SynthSpec(seasonal_amplitude=0.3, tail_scale=2.5)
         doy = np.arange(n_days) % 365 + 1
         got = spec.sample_days(np.random.default_rng(21), doy)
         twin = np.random.default_rng(21)
         s = 2.5 * (1.0 + 0.3 * np.sin(2.0 * np.pi * doy / 365))
         z = s * twin.exponential(size=doy.size)
         noise = twin.exponential(size=(doy.size, 25))
-        expected = spec.spatial_loading[None, :] * z[:, None] + noise
+        expected = z[:, None] + noise
         assert got.tobytes() == expected.tobytes()
         # and drew as much: the next draw of the caller's rng is unchanged
         rng = np.random.default_rng(21)
         spec.sample_days(rng, doy)
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_sample_days_is_the_loaded_factor_plus_noise(self):
-        self._assert_loaded_factor_plus_noise(3 * 365)
+    def test_sample_days_is_the_factor_plus_noise(self):
+        self._assert_factor_plus_noise(3 * 365)
 
     @pytest.mark.parametrize("n_days", [ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3])
     def test_sample_days_across_row_blocks(self, n_days):
-        self._assert_loaded_factor_plus_noise(n_days)
+        self._assert_factor_plus_noise(n_days)
 
     @pytest.mark.parametrize("spec, digest", [
         (SynthSpec(n_runs=2, years_per_run=1, seed=0),
          "f11dd3b6e46b84423a69a9ccec5c552afaee06d146a5018702fe65ba20c0ea59"),
         (SynthSpec(n_runs=2, years_per_run=1, seed=5, seasonal_amplitude=0.3,
-                   tail_scale=2.5, spatial_loading=np.linspace(0.2, 1.0, 25)),
-         "f8b7061d1480112202ae9abae3c451fdf7ea5578fdac7b33bc47e68afc6eb410"),
+                   tail_scale=2.5),
+         "88b1d6c4e7892a8d8e68026c6a67cfd994ab2ed9fd3d968daf9016b3625d29fc"),
         (SynthSpec(n_runs=1, years_per_run=12, seed=5, seasonal_amplitude=0.3,
-                   tail_scale=2.5, spatial_loading=np.linspace(0.2, 1.0, 25)),
-         "19a3f12f88457f94e1ece607993cf12c40d60ebc6fcdf9a991bd673ca8051bf0"),
-    ], ids=["default-law", "non-unit-loading", "longer-than-a-row-block"])
+                   tail_scale=2.5),
+         "3026729695a14f2accd1459dccaa38b2505ed5a401d59286a0863dc1b4e03e8f"),
+    ], ids=["default-law", "non-default-law", "longer-than-a-row-block"])
     def test_generated_bytes_are_pinned(self, spec, digest):
         # the synthetic stream every fixture and oracle rests on
         values = generate_synthetic(spec).concat_values()
@@ -392,8 +391,6 @@ class TestSynthetic:
         for amplitude in (-0.1, 1.01):  # above 1, s(d) goes negative
             with pytest.raises(ValueError, match=r"seasonal_amplitude must be in \[0, 1\]"):
                 SynthSpec(seasonal_amplitude=amplitude)
-        with pytest.raises(ValueError):
-            SynthSpec(spatial_loading=np.full(25, 1.5))
 
 
 _ROW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
