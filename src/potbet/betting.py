@@ -267,10 +267,11 @@ def null_calibration(
     All trials draw from one Generator, seeded by SeedSequence([cfg.seed,
     CALIBRATION_KEY]), through sample_tops: each row has the law of a
     sample's K+1 largest values, and draws little more than the values
-    above a threshold.  Rows 2i and 2i + 1 are trial i's observed and model
-    sides, so trial i's draws do not depend on the number of trials.  All
-    trials then play at once, through the loop run_rounds plays a single
-    game with.
+    above a threshold: about k + 4 sqrt(k) + 4 of them for a direct model
+    and 16 k for an angular one, with k = K+1.  Rows 2i and 2i + 1 are
+    trial i's observed and model sides, so trial i's draws do not depend
+    on the number of trials.  All trials then play at once, through the
+    loop run_rounds plays a single game with.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")

@@ -7,9 +7,11 @@ standard exponential (tail shape fixed at zero throughout).
 
 sample_model draws a sample of n values and sample_top its k largest.
 sample_tops draws many rows of a sample's k largest in law, not bit for
-bit: it draws only the values above a threshold, about OVERSAMPLE * k of
-them, their days as a multinomial count per distinct pool day in random
-order, and the rest only when they could reach the top k.
+bit: it draws only the values above a threshold, about
+(sqrt(k) + DIRECT_MARGIN)**2 of them for the direct kind and OVERSAMPLE * k
+for the angular one, their days as a multinomial count per distinct pool
+day in random order, and the rest only when they could reach the top k; of
+those it computes the angle only where the value could.
 """
 
 from __future__ import annotations
@@ -275,17 +277,24 @@ def fit_pot_model(
 # an upper bound on an angular draw with base >= 0 (rounding is monotone, so
 # also in floats)
 ANGULAR_BOUND = 0.7072
-# sample_tops draws about OVERSAMPLE * k of each row's n bases: those above
-# its threshold
+# sample_tops draws the bases above a threshold, about OVERSAMPLE * k of each
+# angular row's n, since an angular value counts only if it clears
+# tau * ANGULAR_BOUND
 OVERSAMPLE = 16
+# and (sqrt(k) + DIRECT_MARGIN)**2 = k + 4 sqrt(k) + 4 of a direct row's,
+# which is complete once k bases exceed tau: the square root of the nearly
+# Poisson count has sd about 1/2, so sqrt(k) lies 2 * DIRECT_MARGIN sd below
+# the square root of its mean
+DIRECT_MARGIN = 2.0
 # rows sample_tops draws at a time; it draws whole blocks only
 BLOCK = 64
 
 
 def _draw(model: PotModel, rng, n: int):
-    """One RNG stream for every sampler: n draws as (base, value), where
-    base = q + f(D) * E and value is base for the direct kind and
-    base * min(sin Theta, cos Theta), Theta = (pi/2) * u, for the angular one.
+    """One RNG stream for every sampler: n draws as (base, u), where
+    base = q + f(D) * E and u is None for the direct kind, whose draw is
+    base, and for the angular one the uniforms of Theta = (pi/2) * u, whose
+    draw is _angular(base, u) = base * min(sin Theta, cos Theta).
 
     The stream is that of rng.choice(day_pool, size=n), rng.exponential(size=n)
     and rng.uniform(0, pi/2, size=n), bit for bit: exponential() is
@@ -293,7 +302,7 @@ def _draw(model: PotModel, rng, n: int):
     """
     f = model.scale.table[model.day_pool[rng.integers(0, model.day_pool.size, size=n)] - 1]
     base = model.q + f * rng.standard_exponential(n)
-    return base, (base if model.kind == "direct" else _angular(base, rng.random(n)))
+    return base, (None if model.kind == "direct" else rng.random(n))
 
 
 def _angular(base: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -321,7 +330,8 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _draw(model, np.random.default_rng(seed), n)[1]
+    base, u = _draw(model, np.random.default_rng(seed), n)
+    return base if u is None else _angular(base, u)
 
 
 def _thinning(model: PotModel, n: int, k: int):
@@ -330,18 +340,20 @@ def _thinning(model: PotModel, n: int, k: int):
     over those days given a base above tau, normalised to sum to 1.
 
     Over the pool's distinct days d, with counts c_d and scales s_d,
-    pi(x) = sum c_d exp(-x / s_d) / sum c_d, and x solves n * pi(x) =
-    OVERSAMPLE * k; x = 0 (pi = 1) when n <= OVERSAMPLE * k or q < 0.
-    log pi is convex and decreasing, so Newton's steps from 0 rise
-    monotonically to the root.  Any x >= 0 with tau >= 0 gives sample_tops
-    the same law; x only sets how much it draws.
+    pi(x) = sum c_d exp(-x / s_d) / sum c_d, and x solves n * pi(x) = m,
+    the count of bases to draw: m = k + 4 sqrt(k) + 4 (DIRECT_MARGIN 2) for
+    the direct kind and OVERSAMPLE * k for the angular one; x = 0 (pi = 1)
+    when n <= m or q < 0.  log pi is convex and decreasing, so Newton's
+    steps from 0 rise monotonically to the root.  Any x >= 0 with tau >= 0
+    gives sample_tops the same law; x only sets how much it draws.
     """
     counts = np.bincount(model.day_pool, minlength=DAYS_PER_YEAR + 1)[1:]
     days = np.flatnonzero(counts)
     c, s = counts[days].astype(np.float64), model.scale.table[days]
+    m = OVERSAMPLE * k if model.kind == "angular" else (math.sqrt(k) + DIRECT_MARGIN) ** 2
     x = 0.0
-    if n > OVERSAMPLE * k and model.q >= 0.0:
-        target = math.log(OVERSAMPLE * k / n)
+    if n > m and model.q >= 0.0:
+        target = math.log(m / n)
         for _ in range(100):
             weights = c * np.exp(-x / s)
             total = weights.sum()
@@ -353,15 +365,23 @@ def _thinning(model: PotModel, n: int, k: int):
     return model.q + x, weights.sum() / c.sum(), s, weights / weights.sum()
 
 
-def _below(model: PotModel, rng, tau: float, size: int) -> np.ndarray:
-    """size draws of the model whose base is at most tau: _draw's draws,
-    by rejection."""
+def _below(model: PotModel, rng, tau: float, kth: float, size: int) -> np.ndarray:
+    """size draws of the model whose base is at most tau, by rejection from
+    _draw, less the angular draws that cannot exceed kth; every draw takes
+    all of _draw's uniforms, so the stream does not depend on kth."""
     parts = []
     while size > 0:
-        base, value = _draw(model, rng, size)
+        base, u = _draw(model, rng, size)
         keep = base <= tau
-        parts.append(value[keep])
         size -= int(np.count_nonzero(keep))
+        if u is None:
+            parts.append(base[keep])
+        else:
+            # base * ANGULAR_BOUND bounds the value only for base >= 0; every
+            # base here is at least q >= 0, since sample_tops completes rows
+            # only when _thinning set x > 0, which it does only for q >= 0
+            keep &= base * ANGULAR_BOUND > kth
+            parts.append(_angular(base[keep], u[keep]))
     return np.concatenate(parts)
 
 
@@ -374,15 +394,17 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
     Non-Uniform Random Variate Generation, 1986): their count N is
     Binomial(n, pi), and since E is memoryless each is tau + f(D) * E with
     D weighted by exp(-x / f(D)) (_thinning sets x so that about
-    OVERSAMPLE * k are drawn).  A block's days are a multinomial count per
-    distinct pool day put in uniformly random order, which is the law of
-    that many iid days.  The angular kind multiplies each by
-    min(sin Theta, cos Theta) of a fresh Theta.  The other n - N values are
-    at most tau * bound (bound 1 for the direct kind, ANGULAR_BOUND for the
-    angular one), so a row whose k-th largest drawn value reaches it is
-    complete; any other row draws its n - N bases below tau (_below) and
-    takes the top k of all n.  Rows are drawn BLOCK at a time, always in
-    whole blocks, so row r's draws do not depend on ``rows``.
+    k + 4 sqrt(k) + 4 are drawn for the direct kind and OVERSAMPLE * k for
+    the angular one).  A block's days are a multinomial count per distinct
+    pool day put in uniformly random order, which is the law of that many
+    iid days.  The angular kind multiplies each by min(sin Theta, cos Theta)
+    of a fresh Theta.  The other n - N values are at most tau * bound
+    (bound 1 for the direct kind, ANGULAR_BOUND for the angular one), so a
+    row whose k-th largest drawn value reaches it is complete; any other
+    row draws its n - N bases below tau (_below, which computes no angle
+    that cannot pass that k-th value) and takes the top k of all n.  Rows
+    are drawn BLOCK at a time, always in whole blocks, so row r's draws do
+    not depend on ``rows``.
     """
     _check_k(n, k)
     tau, pi, scale, law = _thinning(model, n, k)
@@ -397,14 +419,14 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
         if model.kind == "angular":
             values = _angular(values, rng.random(total))
         ends = np.cumsum(counts)
-        padded = np.full((BLOCK, max(int(counts.max()), k)), -np.inf)
-        padded[np.repeat(np.arange(BLOCK), counts),
-               np.arange(total) - np.repeat(ends - counts, counts)] = values
+        width = max(int(counts.max()), k)
+        padded = np.full((BLOCK, width), -np.inf)
+        padded[np.arange(width) < counts[:, None]] = values
         tops = largest(padded, k)
         for r in np.flatnonzero((counts < n) & (tops[:, 0] < cutoff)):
             drawn = values[ends[r] - counts[r]:ends[r]]
             tops[r] = largest(np.concatenate(
-                [drawn, _below(model, rng, tau, n - counts[r])]), k)
+                [drawn, _below(model, rng, tau, tops[r, 0], n - counts[r])]), k)
         out[start:start + BLOCK] = tops[:rows - start]
     return out
 

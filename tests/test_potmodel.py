@@ -389,25 +389,61 @@ def reference_tops(model, n, k, rng, rows, chunk=500):
     return np.concatenate(out)
 
 
+def reference_block_loop(model, n, k, rng, rows):
+    """sample_tops's rows, filled the plain way: the padded block through
+    index arrays, and each completion's draws below tau computed in full,
+    every angle included, from the same _thinning output.  Also returns
+    the k-th largest drawn value of each completing row."""
+    tau, pi, scale, law = potmodel._thinning(model, n, k)
+    cutoff = tau * (ANGULAR_BOUND if model.kind == "angular" else 1.0)
+    out, kths = np.empty((rows, k)), []
+    for start in range(0, rows, BLOCK):
+        counts = rng.binomial(n, pi, size=BLOCK)
+        total = int(counts.sum())
+        values = rng.permutation(np.repeat(scale, rng.multinomial(total, law)))
+        values *= rng.standard_exponential(total)
+        values += tau
+        if model.kind == "angular":
+            values = potmodel._angular(values, rng.random(total))
+        ends = np.cumsum(counts)
+        padded = np.full((BLOCK, max(int(counts.max()), k)), -np.inf)
+        padded[np.repeat(np.arange(BLOCK), counts),
+               np.arange(total) - np.repeat(ends - counts, counts)] = values
+        tops = largest(padded, k)
+        for r in np.flatnonzero((counts < n) & (tops[:, 0] < cutoff)):
+            kths.append(tops[r, 0])
+            parts, size = [values[ends[r] - counts[r]:ends[r]]], n - counts[r]
+            while size > 0:
+                base, u = potmodel._draw(model, rng, size)
+                value = base if u is None else potmodel._angular(base, u)
+                parts.append(value[base <= tau])
+                size -= parts[-1].size
+            tops[r] = largest(np.concatenate(parts), k)
+        out[start:start + BLOCK] = tops[:rows - start]
+    return out, np.array(kths)
+
+
 class TestSampleTops:
     """sample_tops draws its own stream, so its rows are compared with the top
     k of sample_model's samples in law: a two-sample KS test on every order
     statistic and every normalised spacing, at fixed seeds."""
 
-    @pytest.mark.parametrize("which,n,k,oversample,completes", [
-        (0, 500, 6, OVERSAMPLE, False),    # direct, thinned
-        (1, 500, 6, OVERSAMPLE, True),     # angular, thinned: a few rows complete
-        (0, 500, 6, 1, True),              # direct: rows with fewer than k bases above tau
-        (1, 500, 6, 4, True),              # angular: most rows complete
-        (1, 60, 6, OVERSAMPLE, False),     # n <= OVERSAMPLE * k: every base is drawn
-        (0, 500, 1, OVERSAMPLE, False),    # the maximum alone
-        (1, 1000, 26, OVERSAMPLE, False),  # K = 25: no row completes
-        (4, 500, 6, OVERSAMPLE, True),     # one scale, q > 0
+    @pytest.mark.parametrize("which,n,k,patch,completes", [
+        (0, 500, 6, {}, True),                      # direct, thinned: a rare row completes
+        (1, 500, 6, {}, True),                      # angular, thinned: a few rows complete
+        (0, 500, 6, {"DIRECT_MARGIN": 0.0}, True),  # direct: rows with fewer than k bases above tau
+        (1, 500, 6, {"OVERSAMPLE": 4}, True),       # angular: most rows complete
+        (1, 60, 6, {}, False),                      # n <= OVERSAMPLE * k: every base is drawn
+        (0, 19, 6, {}, False),                      # n <= k + 4 sqrt(k) + 4: every base is drawn
+        (0, 500, 1, {}, True),                      # the maximum alone: a rare row has no base above tau
+        (1, 1000, 26, {}, False),                   # K = 25: no row completes
+        (4, 500, 6, {}, True),                      # one scale, q > 0
     ])
     def test_rows_have_the_law_of_sample_model_tops(self, monkeypatch, which, n, k,
-                                                    oversample, completes):
+                                                    patch, completes):
         model, rows = SAMPLE_TOP_MODELS[which], 20_000
-        monkeypatch.setattr(potmodel, "OVERSAMPLE", oversample)
+        for name, value in patch.items():
+            monkeypatch.setattr(potmodel, name, value)
         completions, below = [], potmodel._below
 
         def counted(*args):
@@ -431,6 +467,32 @@ class TestSampleTops:
         # no threshold at n <= OVERSAMPLE * k or q < 0: every base is drawn
         for size, m in ((OVERSAMPLE * k, model), (n, flat_model(kind="angular", q=-2.0))):
             assert potmodel._thinning(m, size, k)[:2] == (m.q, 1.0)
+
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_direct_threshold_draws_k_plus_four_root_k_plus_four_bases(self, k):
+        model, n = SAMPLE_TOP_MODELS[0], 3649
+        target = k + 4.0 * math.sqrt(k) + 4.0
+        tau, pi, _, _ = potmodel._thinning(model, n, k)
+        assert tau > model.q
+        assert n * pi == pytest.approx(target, rel=1e-9)
+        # n <= the target: every base is drawn
+        assert potmodel._thinning(model, math.floor(target), k)[:2] == (model.q, 1.0)
+        assert potmodel._thinning(model, math.floor(target) + 1, k)[0] > model.q
+
+    @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
+    @pytest.mark.parametrize("k", [1, 6, 26])
+    def test_equals_the_block_loop_with_every_angle_computed(self, monkeypatch, which, k):
+        # low targets, so that rows complete; the mask fill and the angles
+        # left out of completions change no bit
+        monkeypatch.setattr(potmodel, "OVERSAMPLE", 2)
+        monkeypatch.setattr(potmodel, "DIRECT_MARGIN", 0.0)
+        model, n, rows = SAMPLE_TOP_MODELS[which], 500, 2 * BLOCK + 3
+        want, kths = reference_block_loop(model, n, k, np.random.default_rng(7), rows)
+        assert np.array_equal(sample_tops(model, n, k, np.random.default_rng(7), rows), want)
+        # q < 0 draws every base, so no row completes
+        assert (kths.size > 0) == (model.q >= 0.0)
+        if model.kind == "angular" and model.q >= 0.0:
+            assert np.isfinite(kths).any()  # angles are left out
 
     @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
     @pytest.mark.parametrize("k", [1, 6, 26])
