@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -302,16 +303,76 @@ def _load_run_by_line(path) -> GridRun:
 
 
 def write_dataset(data: Dataset, paths: list) -> None:
-    """Write one CSV file per run (canonical format: shortest round-trip floats, LF)."""
+    """Write one CSV file per run (canonical format: shortest round-trip floats, LF).
+
+    Forked worker processes write whole runs beside this process, one
+    process per usable CPU up to one per run; without `fork` this process
+    writes them all.  The workers inherit the runs, so no value is sent
+    through a pipe, and each file gets the bytes `_write_run` writes.
+    Every worker is joined before this returns or raises, and an OSError
+    in a worker is raised here as the same OSError.
+    """
     if len(paths) != len(data.runs):
         raise ValueError(f"need {len(data.runs)} paths, got {len(paths)}")
-    for run, path in zip(data.runs, paths):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(CSV_HEADER + "\n")
-            days = run.day_of_year.tolist()
-            # one row of Python floats at a time: a whole run's list is 5x its array
-            for i, (doy, row) in enumerate(zip(days, run.values), start=1):
-                fh.write(f"{run.run_id},{i},{doy},{','.join(map(repr, row.tolist()))}\n")
+    # imported here, as only this call needs it: at module level its import
+    # time would be paid by every potbet command at start-up
+    import multiprocessing
+
+    jobs = list(zip(data.runs, paths))
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    n_procs = min(len(jobs), _usable_cpus()) if forkable else 1
+    workers = []
+    try:
+        for share in range(1, n_procs):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.get_context("fork").Process(
+                target=_write_share, args=(jobs[share::n_procs], send))
+            proc.start()
+            send.close()  # so that a later worker does not inherit it
+            workers.append((proc, receive))
+        for run, path in jobs[::n_procs]:
+            _write_run(run, path)
+    finally:
+        for proc, _ in workers:
+            proc.join()
+    for proc, receive in workers:
+        with receive:
+            try:
+                error = receive.recv()
+            except EOFError:  # it died before reporting; its traceback is on stderr
+                raise RuntimeError(
+                    f"a writer process exited with code {proc.exitcode}") from None
+        if error is not None:
+            raise error
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _write_share(jobs, report) -> None:
+    """A writer process: write each (run, path) job in turn, then send the
+    parent None, or the OSError that stopped it, on the pipe end report."""
+    error = None
+    try:
+        for run, path in jobs:
+            _write_run(run, path)
+    except OSError as exc:
+        error = exc
+    with report:
+        report.send(error)
+
+
+def _write_run(run: GridRun, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        days = run.day_of_year.tolist()
+        # one row of Python floats at a time: a whole run's list is 5x its array
+        for i, (doy, row) in enumerate(zip(days, run.values), start=1):
+            fh.write(f"{run.run_id},{i},{doy},{','.join(map(repr, row.tolist()))}\n")
 
 
 @dataclass

@@ -1,7 +1,10 @@
 """Tests for panel loading, validation and the synthetic generator."""
 
+import contextlib
 import functools
 import hashlib
+import io
+import multiprocessing
 import tempfile
 import tracemalloc
 import warnings
@@ -24,6 +27,7 @@ from potbet import (
     write_dataset,
 )
 from potbet import ingest
+from potbet.cli import main
 from potbet.ingest import CSV_HEADER, ROW_BLOCK, IngestError, rankth_largest
 
 
@@ -117,6 +121,90 @@ class TestRoundTrip:
         assert loaded.n_total == 365
         assert np.all(loaded.concat_values() == 0.0)
 
+
+
+# sha256 of each file `potbet synth --seed 0 --runs 4 --years 2` writes, as
+# written by one process writing every run in turn
+SYNTH_DIGESTS = {
+    "run_00.csv": "539e24ad938ccddc2e5dd1cbbc194b09eab6f18c9c2fe63e782fa6368ec254a0",
+    "run_01.csv": "a39a575d353c92edd1b5dccc57560f857c2a96fcfc61e0e9ac036f281afa0e8e",
+    "run_02.csv": "8f2a1f99325b9440b87701038cc0f9a87a9cab34ddd6b562261675dcefe15ebc",
+    "run_03.csv": "0f24db4bbc4298e6246386e50eb4b016da1c118cde295e305e523931c708a4b9",
+}
+
+
+def use_cpus(monkeypatch, n_cpus: int) -> list:
+    """Make this process see n_cpus usable CPUs; return the list that each
+    multiprocessing process started from now on is appended to."""
+    monkeypatch.setattr(ingest.os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                        raising=False)
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    return started
+
+
+class TestParallelWrite:
+    """Worker processes write whole runs; the bytes are the serial writer's."""
+
+    def test_synth_files_are_pinned(self, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--seed", "0", "--runs", "4", "--years", "2",
+                         "--out", str(tmp_path)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == SYNTH_DIGESTS
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3, 8])
+    def test_equals_each_run_written_alone(self, tmp_path, monkeypatch, n_cpus):
+        data = generate_synthetic(small_spec(n_runs=4))
+        alone = []
+        for run in data.runs:
+            alone.append(tmp_path / f"alone_{run.run_id}.csv")
+            write_dataset(Dataset([run]), alone[-1:])
+        started = use_cpus(monkeypatch, n_cpus)
+        together = [tmp_path / f"together_{r.run_id}.csv" for r in data.runs]
+        write_dataset(data, together)
+        # one process per CPU up to one per run, this process being one of them
+        assert len(started) == min(n_cpus, len(data.runs)) - 1
+        assert not multiprocessing.active_children()
+        for a, b in zip(alone, together):
+            assert a.read_bytes() == b.read_bytes()
+
+    # with more than one CPU, this process writes run_00 and a worker run_01
+    @pytest.mark.parametrize("bad", ["run_00.csv", "run_01.csv"])
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4])
+    def test_unwritable_run_file_exits_2_and_leaves_no_process(
+            self, tmp_path, monkeypatch, capsys, n_cpus, bad):
+        use_cpus(monkeypatch, n_cpus)
+        (tmp_path / bad).mkdir()
+        rc = main(["synth", "--seed", "0", "--runs", "4", "--years", "1",
+                   "--out", str(tmp_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(tmp_path / bad) in err[0]
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_without_reporting_is_an_error(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        write_run = ingest._write_run
+
+        def failing(run, path):
+            if run.run_id == 1:  # the worker's share
+                raise ZeroDivisionError("a bug")
+            write_run(run, path)
+
+        monkeypatch.setattr(ingest, "_write_run", failing)
+        data = generate_synthetic(small_spec())
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            write_dataset(data, [tmp_path / "a.csv", tmp_path / "b.csv"])
+        assert not multiprocessing.active_children()
 
 
 def _outcome(loader, path):
@@ -460,6 +548,16 @@ class TestTransientMemory:
         # the writer's peak is one run's, so one run keeps the test short
         one_run = Dataset(panel.runs[:1])
         peak = _traced_peak(lambda: write_dataset(one_run, [tmp_path / "run.csv"]))
+        assert peak < 0.5 * panel.runs[0].values.nbytes
+
+    def test_write_dataset_sends_no_run_through_this_process(
+            self, panel, tmp_path, monkeypatch):
+        # worker processes inherit the runs, so this process formats its own
+        # share row by row and receives no pickled run
+        started = use_cpus(monkeypatch, len(panel.runs))
+        paths = [tmp_path / f"run_{r.run_id}.csv" for r in panel.runs]
+        peak = _traced_peak(lambda: write_dataset(panel, paths))
+        assert len(started) == len(panel.runs) - 1
         assert peak < 0.5 * panel.runs[0].values.nbytes
 
     def test_sample_days_adds_the_factor_block_by_block(self, panel):
