@@ -47,6 +47,9 @@ class EstimateConfig:
             raise ValueError("need 0 <= given_runs < total_runs")
         if self.years < 1:
             raise ValueError("years must be >= 1")
+        most_days = np.iinfo(np.int64).max  # the replicated counts are int64
+        if self.total_runs * self.years * DAYS_PER_YEAR > most_days:
+            raise ValueError(f"total_runs * years * {DAYS_PER_YEAR} must be <= {most_days}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -257,7 +257,8 @@ def _load_run(path) -> GridRun:
         or not np.array_equal(rows["day_of_year"], calendar(rows.size))
     ):
         return _load_run_by_line(path)
-    return GridRun(int(rows["run_id"][0]), np.ascontiguousarray(rows["values"]))
+    # a view: a contiguous copy would hold the run twice while loading
+    return GridRun(int(rows["run_id"][0]), rows["values"])
 
 
 def _load_run_by_line(path) -> GridRun:
@@ -305,45 +306,39 @@ def _load_run_by_line(path) -> GridRun:
 def write_dataset(data: Dataset, paths: list) -> None:
     """Write one CSV file per run (canonical format: shortest round-trip floats, LF).
 
-    Forked worker processes write whole runs beside this process, one
+    A pool of forked processes writes whole runs beside this process, one
     process per usable CPU up to one per run; without `fork` this process
-    writes them all.  The workers inherit the runs, so no value is sent
-    through a pipe, and each file gets the bytes `_write_run` writes.
-    Every worker is joined before this returns or raises, and an OSError
-    in a worker is raised here as the same OSError.
+    writes them all.  The workers inherit the runs, so only run indexes are
+    pickled, and each file gets the bytes `_write_run` writes.  Every worker
+    is joined before this returns or raises, and a worker's exception is
+    raised here as itself.  Paths naming one file twice are a ValueError.
     """
     if len(paths) != len(data.runs):
         raise ValueError(f"need {len(data.runs)} paths, got {len(paths)}")
-    # imported here, as only this call needs it: at module level its import
-    # time would be paid by every potbet command at start-up
+    resolved = [os.path.realpath(p) for p in paths]
+    repeated = sorted({p for p in resolved if resolved.count(p) > 1})
+    if repeated:
+        raise ValueError(f"run paths repeat {repeated}")
+    # imported here, as only this call needs them: at module level their
+    # import time would be paid by every potbet command at start-up
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     jobs = list(zip(data.runs, paths))
     forkable = "fork" in multiprocessing.get_all_start_methods()
     n_procs = min(len(jobs), _usable_cpus()) if forkable else 1
-    workers = []
-    try:
-        for share in range(1, n_procs):
-            receive, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.get_context("fork").Process(
-                target=_write_share, args=(jobs[share::n_procs], send))
-            proc.start()
-            send.close()  # so that a later worker does not inherit it
-            workers.append((proc, receive))
+    if n_procs == 1:
+        for run, path in jobs:
+            _write_run(run, path)
+        return
+    with ProcessPoolExecutor(n_procs - 1, multiprocessing.get_context("fork"),
+                             initializer=_adopt_jobs, initargs=(jobs,)) as pool:
+        futures = [pool.submit(_write_job, i)
+                   for i in range(len(jobs)) if i % n_procs]
         for run, path in jobs[::n_procs]:
             _write_run(run, path)
-    finally:
-        for proc, _ in workers:
-            proc.join()
-    for proc, receive in workers:
-        with receive:
-            try:
-                error = receive.recv()
-            except EOFError:  # it died before reporting; its traceback is on stderr
-                raise RuntimeError(
-                    f"a writer process exited with code {proc.exitcode}") from None
-        if error is not None:
-            raise error
+        for future in futures:
+            future.result()
 
 
 def _usable_cpus() -> int:
@@ -353,17 +348,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_share(jobs, report) -> None:
-    """A writer process: write each (run, path) job in turn, then send the
-    parent None, or the OSError that stopped it, on the pipe end report."""
-    error = None
-    try:
-        for run, path in jobs:
-            _write_run(run, path)
-    except OSError as exc:
-        error = exc
-    with report:
-        report.send(error)
+_jobs: list = []  # the (run, path) jobs; set only in write_dataset's pool
+
+
+def _adopt_jobs(jobs: list) -> None:
+    global _jobs
+    _jobs = jobs
+
+
+def _write_job(index: int) -> None:
+    _write_run(*_jobs[index])
 
 
 def _write_run(run: GridRun, path) -> None:

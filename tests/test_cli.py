@@ -493,6 +493,8 @@ class TestConfigAndErrors:
         ({"synth": {"n_runs": 4, "years_per_run": 25, "seasonal_amplitude": 3.0}},
          "seasonal_amplitude must be in [0, 1]"),
         ({"confidence": 0.999999999999}, "confidence must be <= 0.999999"),
+        ({"years": 2, "total_runs": 40000000000000000},
+         "total_runs * years * 365 must be <= 9223372036854775807"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, extra, message):
         cfg = small_config(tmp_path, **extra)

@@ -323,6 +323,14 @@ class TestEstimateConfig:
         with pytest.raises(ValueError, match="n_replications must be <= "):
             EstimateConfig(n_replications=most + 1)
 
+    def test_days_the_int64_counts_cannot_hold_rejected(self):
+        # estimate_frequency draws and sums counts of up to
+        # total_runs * years * 365 days in int64
+        most = np.iinfo(np.int64).max // 365
+        assert EstimateConfig(total_runs=most, years=1).total_runs == most
+        with pytest.raises(ValueError, match=r"total_runs \* years \* 365 must be <= "):
+            EstimateConfig(total_runs=most + 1, years=1)
+
     def test_confidence_the_interval_search_cannot_reach_rejected(self):
         # poisson_pmf's masses sum to 1 - 6.0e-10 at T1's paper-scale lambda,
         # so poisson_interval cannot reach a confidence closer to 1 than that

@@ -5,6 +5,7 @@ import functools
 import hashlib
 import io
 import multiprocessing
+import os
 import tempfile
 import tracemalloc
 import warnings
@@ -191,20 +192,46 @@ class TestParallelWrite:
         assert str(tmp_path / bad) in err[0]
         assert not multiprocessing.active_children()
 
-    def test_worker_that_dies_without_reporting_is_an_error(self, tmp_path, monkeypatch):
+    @staticmethod
+    def fail_in_worker(monkeypatch, fail):
+        """Make writing run 1, a worker's share at 2 CPUs, call fail."""
         use_cpus(monkeypatch, 2)
         write_run = ingest._write_run
 
         def failing(run, path):
-            if run.run_id == 1:  # the worker's share
-                raise ZeroDivisionError("a bug")
+            if run.run_id == 1:
+                fail()
             write_run(run, path)
 
         monkeypatch.setattr(ingest, "_write_run", failing)
+
+    def test_worker_bug_reaches_the_caller_as_itself(self, tmp_path, monkeypatch):
+        def bug():
+            raise ZeroDivisionError("a bug")
+
+        self.fail_in_worker(monkeypatch, bug)
         data = generate_synthetic(small_spec())
-        with pytest.raises(RuntimeError, match="exited with code 1"):
+        with pytest.raises(ZeroDivisionError, match="a bug"):
             write_dataset(data, [tmp_path / "a.csv", tmp_path / "b.csv"])
         assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_without_reporting_is_an_error(self, tmp_path, monkeypatch):
+        self.fail_in_worker(monkeypatch, lambda: os._exit(1))
+        data = generate_synthetic(small_spec())
+        with pytest.raises(RuntimeError):
+            write_dataset(data, [tmp_path / "a.csv", tmp_path / "b.csv"])
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("second", ["run.csv", "sub/../run.csv"])
+    def test_repeated_path_is_rejected_before_any_file_is_opened(
+            self, tmp_path, monkeypatch, second):
+        started = use_cpus(monkeypatch, 2)
+        (tmp_path / "sub").mkdir()
+        data = generate_synthetic(small_spec())
+        with pytest.raises(ValueError, match="run paths repeat"):
+            write_dataset(data, [tmp_path / "run.csv", tmp_path / second])
+        assert not (tmp_path / "run.csv").exists()
+        assert not started and not multiprocessing.active_children()
 
 
 def _outcome(loader, path):
@@ -357,7 +384,7 @@ class TestFastPass:
             assert a.run_id == b.run_id and type(b.run_id) is int
             assert np.array_equal(a.day_of_year, b.day_of_year)
             assert np.array_equal(a.values, b.values)
-            assert b.values.flags.c_contiguous and b.day_of_year.flags.c_contiguous
+            assert b.day_of_year.flags.c_contiguous
 
     @pytest.mark.parametrize("spelling,field", [("1_0", 2), (str(2**63), 0)])
     def test_spellings_only_python_reads_still_load(self, tmp_path, spelling, field):
@@ -559,6 +586,14 @@ class TestTransientMemory:
         peak = _traced_peak(lambda: write_dataset(panel, paths))
         assert len(started) == len(panel.runs) - 1
         assert peak < 0.5 * panel.runs[0].values.nbytes
+
+    def test_load_run_holds_one_copy_of_the_values(self, panel, tmp_path):
+        # np.loadtxt's rows are 28 numbers a day to the values' 25, so a
+        # load that keeps them holds 1.12 units; a second copy would add one
+        path = tmp_path / "run.csv"
+        write_dataset(Dataset(panel.runs[:1]), [path])
+        peak = _traced_peak(lambda: ingest._load_run(path))
+        assert peak < 1.6 * panel.runs[0].values.nbytes
 
     def test_sample_days_adds_the_factor_block_by_block(self, panel):
         # the (n_days, 25) result itself is one unit
