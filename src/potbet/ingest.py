@@ -311,7 +311,9 @@ def write_dataset(data: Dataset, paths: list) -> None:
     writes them all.  The workers inherit the runs, so only run indexes are
     pickled, and each file gets the bytes `_write_run` writes.  Every worker
     is joined before this returns or raises, and a worker's exception is
-    raised here as itself.  Paths naming one file twice are a ValueError.
+    raised here as itself.  A failed write leaves no file of the set: every
+    path that is a regular file is removed, after the workers are joined.
+    Paths naming one file twice are a ValueError, raised before any is opened.
     """
     if len(paths) != len(data.runs):
         raise ValueError(f"need {len(data.runs)} paths, got {len(paths)}")
@@ -327,18 +329,25 @@ def write_dataset(data: Dataset, paths: list) -> None:
     jobs = list(zip(data.runs, paths))
     forkable = "fork" in multiprocessing.get_all_start_methods()
     n_procs = min(len(jobs), _usable_cpus()) if forkable else 1
-    if n_procs == 1:
-        for run, path in jobs:
-            _write_run(run, path)
-        return
-    with ProcessPoolExecutor(n_procs - 1, multiprocessing.get_context("fork"),
-                             initializer=_adopt_jobs, initargs=(jobs,)) as pool:
-        futures = [pool.submit(_write_job, i)
-                   for i in range(len(jobs)) if i % n_procs]
-        for run, path in jobs[::n_procs]:
-            _write_run(run, path)
-        for future in futures:
-            future.result()
+    try:
+        if n_procs == 1:
+            for run, path in jobs:
+                _write_run(run, path)
+            return
+        with ProcessPoolExecutor(n_procs - 1, multiprocessing.get_context("fork"),
+                                 initializer=_adopt_jobs, initargs=(jobs,)) as pool:
+            futures = [pool.submit(_write_job, i)
+                       for i in range(len(jobs)) if i % n_procs]
+            for run, path in jobs[::n_procs]:
+                _write_run(run, path)
+            for future in futures:
+                future.result()
+    except BaseException:
+        for path in paths:  # a partial set must not pass for a whole one
+            if os.path.isfile(path):
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
 
 
 def _usable_cpus() -> int:

@@ -3,7 +3,8 @@
 Exceedances above a high empirical quantile are modeled as f(D) * E where
 D follows the empirical day-of-year distribution of the exceedances, f is
 a cyclic cubic regression spline fitted by least squares, and E is
-standard exponential (tail shape fixed at zero throughout).
+standard exponential (tail shape fixed at zero throughout).  The spline
+basis at the 365 days is built once per n_basis; a fit gathers its rows.
 
 sample_model draws a sample of n values and sample_top its k largest.
 sample_tops draws many rows of a sample's k largest in law, not bit for
@@ -16,6 +17,7 @@ those it computes the angle only where the value could.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,8 +76,10 @@ def _bspline3(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def cyclic_design_matrix(days, n_basis: int) -> np.ndarray:
-    """Periodic uniform cubic B-spline basis evaluated at day-of-year values.
+@functools.lru_cache
+def day_basis(n_basis: int) -> np.ndarray:
+    """Periodic uniform cubic B-spline basis at days of year 1..365 (row
+    d - 1 for day d), built once per n_basis and read-only.
 
     The basis is a partition of unity (constants lie in its span) and is C2
     across the year wrap.
@@ -83,12 +87,13 @@ def cyclic_design_matrix(days, n_basis: int) -> np.ndarray:
     if n_basis < 4:
         raise ValueError("n_basis must be >= 4")
     h = DAYS_PER_YEAR / n_basis
-    x = (np.asarray(days, dtype=np.float64) - 1.0) % DAYS_PER_YEAR
-    cols = np.empty((x.size, n_basis))
+    x = np.arange(DAYS_PER_YEAR, dtype=np.float64)
+    cols = np.empty((DAYS_PER_YEAR, n_basis))
     for j in range(n_basis):
         u = (x - j * h) / h
         u = (u + n_basis / 2.0) % n_basis - n_basis / 2.0
         cols[:, j] = _bspline3(u + 2.0)
+    cols.flags.writeable = False
     return cols
 
 
@@ -97,7 +102,7 @@ class CyclicScale:
     """365-periodic positive scale function on a cyclic cubic spline basis.
 
     ``table[d - 1]`` is the scale at integer day of year d (1..365), computed
-    once; sampling indexes it instead of building a design matrix per draw.
+    once from ``day_basis(n_basis)``; calling the scale and sampling index it.
     """
 
     n_basis: int
@@ -111,11 +116,11 @@ class CyclicScale:
             raise ValueError("coefficient length must equal n_basis")
         if self.floor <= 0:
             raise ValueError("floor must be > 0")
-        self.table = self(np.arange(1, DAYS_PER_YEAR + 1))
+        self.table = np.maximum(day_basis(self.n_basis) @ self.coefficients, self.floor)
 
     def __call__(self, days) -> np.ndarray:
-        raw = cyclic_design_matrix(np.atleast_1d(days), self.n_basis) @ self.coefficients
-        return np.maximum(raw, self.floor)
+        """The scale at integer days of year (1..365)."""
+        return self.table[np.asarray(days) - 1]
 
 
 def fit_seasonal_scale(exc: ExceedanceSet, n_basis: int = DEFAULT_N_BASIS) -> CyclicScale:
@@ -130,7 +135,7 @@ def fit_seasonal_scale(exc: ExceedanceSet, n_basis: int = DEFAULT_N_BASIS) -> Cy
         raise InsufficientDataError(
             f"{n} exceedances < 2*n_basis = {2 * n_basis}; lower the level or n_basis"
         )
-    X = cyclic_design_matrix(exc.days, n_basis)
+    X = day_basis(n_basis)[exc.days - 1]
     coef, _, rank, _ = np.linalg.lstsq(X, exc.excess, rcond=None)
     if rank < n_basis:
         raise np.linalg.LinAlgError(
@@ -138,7 +143,7 @@ def fit_seasonal_scale(exc: ExceedanceSet, n_basis: int = DEFAULT_N_BASIS) -> Cy
         )
     floor = 1e-6 * float(np.mean(exc.excess))
     # remove the scale/residual aliasing degree of freedom: mean(E) = 1 exactly
-    mean_adj = float(np.mean(exc.excess / np.maximum(X @ coef, floor)))
+    mean_adj = float(np.mean(exc.excess / CyclicScale(n_basis, coef, floor)(exc.days)))
     return CyclicScale(n_basis=n_basis, coefficients=coef * mean_adj, floor=floor)
 
 

@@ -36,7 +36,6 @@ from potbet.potmodel import (
     CyclicScale,
     ExceedanceSet,
     adjust,
-    cyclic_design_matrix,
     fit_seasonal_scale,
     sample_model,
 )

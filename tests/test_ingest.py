@@ -191,6 +191,8 @@ class TestParallelWrite:
         assert len(err) == 1 and err[0].startswith("error:")
         assert str(tmp_path / bad) in err[0]
         assert not multiprocessing.active_children()
+        # no complete run file is left to pass for the set
+        assert not [p for p in tmp_path.glob("run_*.csv") if p.is_file()]
 
     @staticmethod
     def fail_in_worker(monkeypatch, fail):
@@ -214,6 +216,7 @@ class TestParallelWrite:
         with pytest.raises(ZeroDivisionError, match="a bug"):
             write_dataset(data, [tmp_path / "a.csv", tmp_path / "b.csv"])
         assert not multiprocessing.active_children()
+        assert not list(tmp_path.iterdir())  # this process's a.csv is removed
 
     def test_worker_that_dies_without_reporting_is_an_error(self, tmp_path, monkeypatch):
         self.fail_in_worker(monkeypatch, lambda: os._exit(1))
@@ -221,17 +224,27 @@ class TestParallelWrite:
         with pytest.raises(RuntimeError):
             write_dataset(data, [tmp_path / "a.csv", tmp_path / "b.csv"])
         assert not multiprocessing.active_children()
+        assert not list(tmp_path.iterdir())  # this process's a.csv is removed
 
     @pytest.mark.parametrize("second", ["run.csv", "sub/../run.csv"])
     def test_repeated_path_is_rejected_before_any_file_is_opened(
             self, tmp_path, monkeypatch, second):
         started = use_cpus(monkeypatch, 2)
         (tmp_path / "sub").mkdir()
+        (tmp_path / "run.csv").write_bytes(b"earlier")
         data = generate_synthetic(small_spec())
         with pytest.raises(ValueError, match="run paths repeat"):
             write_dataset(data, [tmp_path / "run.csv", tmp_path / second])
-        assert not (tmp_path / "run.csv").exists()
+        # neither opened for writing nor removed
+        assert (tmp_path / "run.csv").read_bytes() == b"earlier"
         assert not started and not multiprocessing.active_children()
+
+    def test_wrong_path_count_removes_no_file(self, tmp_path):
+        (tmp_path / "run.csv").write_bytes(b"earlier")
+        data = generate_synthetic(small_spec())
+        with pytest.raises(ValueError, match="need 2 paths, got 1"):
+            write_dataset(data, [tmp_path / "run.csv"])
+        assert (tmp_path / "run.csv").read_bytes() == b"earlier"
 
 
 def _outcome(loader, path):

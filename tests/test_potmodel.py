@@ -33,7 +33,7 @@ from potbet.potmodel import (
     OVERSAMPLE,
     ExceedanceSet,
     LevelTooHighError,
-    cyclic_design_matrix,
+    day_basis,
     largest,
     sample_tops,
 )
@@ -113,31 +113,102 @@ class TestExtractExceedances:
         assert np.array_equal(exc.days, t.d[t.y > exc.q])
 
 
+def reference_bspline3(u):
+    """Cardinal cubic B-spline on [0, 4], one piece at a time."""
+    out = np.zeros_like(u)
+    m = (u >= 0) & (u < 1)
+    out[m] = u[m] ** 3 / 6.0
+    m = (u >= 1) & (u < 2)
+    v = u[m]
+    out[m] = (-3 * v**3 + 12 * v**2 - 12 * v + 4) / 6.0
+    m = (u >= 2) & (u < 3)
+    v = u[m]
+    out[m] = (3 * v**3 - 24 * v**2 + 60 * v - 44) / 6.0
+    m = (u >= 3) & (u < 4)
+    v = u[m]
+    out[m] = (4 - v) ** 3 / 6.0
+    return out
+
+
+def reference_design(days, n_basis):
+    """The periodic cubic B-spline basis evaluated at each given day, one
+    row per day: the per-day evaluator that day_basis tabulates."""
+    h = 365 / n_basis
+    x = (np.asarray(days, dtype=np.float64) - 1.0) % 365
+    cols = np.empty((x.size, n_basis))
+    for j in range(n_basis):
+        u = (x - j * h) / h
+        u = (u + n_basis / 2.0) % n_basis - n_basis / 2.0
+        cols[:, j] = reference_bspline3(u + 2.0)
+    return cols
+
+
+def reference_fit(exc, n_basis):
+    """fit_seasonal_scale's coefficients and floor from the per-day design."""
+    X = reference_design(exc.days, n_basis)
+    coef = np.linalg.lstsq(X, exc.excess, rcond=None)[0]
+    floor = 1e-6 * float(np.mean(exc.excess))
+    mean_adj = float(np.mean(exc.excess / np.maximum(X @ coef, floor)))
+    return coef * mean_adj, floor
+
+
 class TestCyclicBasis:
+    @pytest.mark.parametrize("n_basis", range(4, 24))
+    def test_rows_equal_the_per_day_evaluator(self, n_basis):
+        days = np.random.default_rng(n_basis).integers(1, 366, size=1000)
+        assert np.array_equal(day_basis(n_basis)[days - 1], reference_design(days, n_basis))
+
+    @pytest.mark.parametrize("n_basis", [4, 6, 10, 23])
+    @pytest.mark.parametrize("n_factor", [2, 3, 50])
+    def test_fit_equals_a_fit_on_the_per_day_design(self, n_basis, n_factor):
+        rng = np.random.default_rng(100 * n_basis + n_factor)
+        n = n_factor * n_basis
+        days = rng.integers(1, 366, size=n)
+        exc = excess_set(days, (1 + 0.5 * np.sin(days / 40.0)) * rng.exponential(size=n))
+        fitted = fit_seasonal_scale(exc, n_basis=n_basis)
+        coef, floor = reference_fit(exc, n_basis)
+        assert np.array_equal(fitted.coefficients, coef)
+        assert fitted.floor == floor
+
     def test_partition_of_unity(self):
-        for n_basis in (4, 6, 10):
-            X = cyclic_design_matrix(np.linspace(1, 365, 777), n_basis)
-            assert np.allclose(X.sum(axis=1), 1.0, atol=1e-12)
+        for n_basis in (4, 6, 10, 23):
+            B = day_basis(n_basis)
+            assert B.shape == (365, n_basis)
+            assert np.allclose(B.sum(axis=1), 1.0, atol=1e-12)
 
     def test_exact_periodicity(self):
-        d = np.linspace(0.5, 365.5, 101)
-        X1 = cyclic_design_matrix(d, 8)
-        X2 = cyclic_design_matrix(d + 365.0, 8)
-        assert np.allclose(X1, X2, atol=1e-10)
+        # with a whole number h of days between knots, moving every day h
+        # days on, across the year seam, moves each function to the next
+        for n_basis in (5, 73):
+            B = day_basis(n_basis)
+            h = 365 // n_basis
+            shifted = B[(np.arange(365) + h) % 365][:, (np.arange(n_basis) + 1) % n_basis]
+            assert np.allclose(shifted, B, atol=1e-12)
+
+    def test_built_once_and_read_only(self):
+        assert day_basis(7) is day_basis(7)
+        with pytest.raises(ValueError):
+            day_basis(7)[0, 0] = 1.0
 
     def test_smooth_across_wrap(self):
-        # C2: second finite differences stay continuous through the year seam
-        rng = np.random.default_rng(10)
-        scale = CyclicScale(n_basis=7, coefficients=1 + rng.random(7), floor=1e-9)
-        h = 1e-3
-        grid = np.arange(364.0, 367.0, h)
-        vals = scale(grid)
-        d2 = np.diff(vals, 2) / h**2
-        assert np.max(np.abs(np.diff(d2))) < 1e-2  # no jump in curvature
+        # C2 through the year seam: a value, slope or curvature jump there
+        # would make the seam's cyclic third difference stand out; a cubic
+        # spline's third difference elsewhere is its constant third
+        # derivative on a piece, or a mix of two neighbouring ones at a knot
+        for n_basis in (4, 7, 10, 23):
+            rng = np.random.default_rng(10 + n_basis)
+            scale = CyclicScale(n_basis=n_basis, coefficients=1 + rng.random(n_basis),
+                                floor=1e-9)
+            t = scale.table
+            d3 = np.abs(np.roll(t, -3) - 3 * np.roll(t, -2) + 3 * np.roll(t, -1) - t)
+            # windows 362..364 take days from both ends of the year
+            assert d3[362:].max() <= d3[:362].max() * (1 + 1e-9)
 
     def test_minimum_basis_size(self):
         with pytest.raises(ValueError):
-            cyclic_design_matrix(np.array([1.0]), 3)
+            day_basis(3)
+        with pytest.raises(ValueError):
+            CyclicScale(n_basis=3, coefficients=np.ones(3), floor=1e-9)
 
     @pytest.mark.parametrize("n_basis", [4, 6, 10, 23])
     def test_table_is_the_scale_at_each_day(self, n_basis):
@@ -146,9 +217,11 @@ class TestCyclicBasis:
         coef = rng.normal(1.0, 1.0, n_basis)
         coef[0] = -5.0
         scale = CyclicScale(n_basis=n_basis, coefficients=coef, floor=0.05)
-        assert scale.table.shape == (365,)
-        assert np.array_equal(scale.table, scale(np.arange(1, 366)))
+        want = np.maximum(reference_design(np.arange(1, 366), n_basis) @ coef, 0.05)
+        assert np.array_equal(scale.table, want)
         assert scale.table.min() == 0.05
+        days = rng.integers(1, 366, size=500)
+        assert np.array_equal(scale(days), want[days - 1])
 
 
 def excess_set(days, excess, p=0.99, q=1.0):
