@@ -38,7 +38,7 @@ from .potmodel import (
     observed_exceedance_values,
     qq_exponential,
     sample_model,
-    sample_top,
+    survival,
 )
 from .betting import (
     BettingState,
@@ -57,7 +57,6 @@ from .estimate import (
     FrequencyEstimate,
     body_event_rate,
     estimate_frequency,
-    exceedance_probability,
     poisson_interval,
 )
 

@@ -51,8 +51,7 @@ class GameConfig:
             raise ValueError("level_grid must be non-empty")
         if not all(0.0 < p < 1.0 for p in self.level_grid):
             raise ValueError(f"levels must be in (0, 1), got {list(self.level_grid)}")
-        if self.n_basis < 4:
-            raise ValueError("n_basis must be >= 4")
+        potmodel.check_n_basis(self.n_basis)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         self.level_grid = tuple(sorted(self.level_grid))
@@ -225,8 +224,7 @@ def select_level(
             failures[p] = (f"{model.day_pool.size} exceedances < {MIN_QQ_VALUES}"
                            " needed for a Q-Q report")
             continue
-        sample = potmodel.sample_top(model, y_obs.size, cfg.K + 1,
-                                     level_seed(cfg.seed, p))
+        sample = potmodel.sample_model(model, y_obs.size, level_seed(cfg.seed, p))
         results[p] = run_rounds(obs_rounds, top_spacings(sample, cfg.K), alpha=cfg.alpha)
     selectable = [p for p in results if p <= cfg.max_level]
     if not selectable:

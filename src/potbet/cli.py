@@ -169,11 +169,26 @@ def _write_model(outdir, model) -> Path:
     return path
 
 
-def _estimate(cfg, target, spec, model):
-    """Estimate stage: the frequency estimate and its answer.csv row."""
+def _emit_poisson_plot(outdir, cfg, tid, est):
+    counts = est.counts
+    # the rows hold every replicated count and both Poisson tails to 1e-9;
+    # counts below them carry no mass worth a row (98% of them at a mean of 1e5)
+    lo = min(int(counts.min()), int(estimate.poisson_ppf(1e-9, est.lam)))
+    hi = max(int(counts.max()) + 1, int(estimate.poisson_ppf(1 - 1e-9, est.lam)))
+    ks = np.arange(lo, hi + 1)
+    pois = estimate.poisson_pmf(ks, est.lam)
+    emp = np.bincount(counts - lo, minlength=hi - lo + 1) / len(counts)
+    _write_csv(outdir / f"poisson_{tid}.csv", cfg, "count,poisson_prob,empirical_freq",
+               ((int(k), _fmt(p), _fmt(e)) for k, p, e in zip(ks, pois, emp)))
+
+
+def _estimate(cfg, outdir, target, spec, model):
+    """Estimate stage: the frequency estimate, its poisson_<T>.csv and its
+    answer.csv row."""
     est = estimate.estimate_frequency(
         model, spec, reduce_mod.count_events(target, spec), cfg.estimate_config(),
         body_rate=estimate.body_event_rate(target, model, spec))
+    _emit_poisson_plot(outdir, cfg, spec.target_id, est)
     return est, (spec.target_id, _fmt(est.point), _fmt(est.ci_lo), _fmt(est.ci_hi),
                  _fmt(est.achieved_coverage), _fmt(est.lam), cfg.n_replications, cfg.seed)
 
@@ -199,19 +214,6 @@ def _emit_plot_data(outdir, cfg, target, model):
         )
 
 
-def _emit_poisson_plot(outdir, cfg, tid, est):
-    counts = est.counts
-    # the rows hold every replicated count and both Poisson tails to 1e-9;
-    # counts below them carry no mass worth a row (98% of them at a mean of 1e5)
-    lo = min(int(counts.min()), int(estimate.poisson_ppf(1e-9, est.lam)))
-    hi = max(int(counts.max()) + 1, int(estimate.poisson_ppf(1 - 1e-9, est.lam)))
-    ks = np.arange(lo, hi + 1)
-    pois = estimate.poisson_pmf(ks, est.lam)
-    emp = np.bincount(counts - lo, minlength=hi - lo + 1) / len(counts)
-    _write_csv(outdir / f"poisson_{tid}.csv", cfg, "count,poisson_prob,empirical_freq",
-               ((int(k), _fmt(p), _fmt(e)) for k, p, e in zip(ks, pois, emp)))
-
-
 def run_pipeline(cfg: PipelineConfig) -> dict:
     """Full pipeline for every configured target; returns per-target summaries."""
     data = _load(cfg)
@@ -230,9 +232,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict:
                 _select(cfg, outdir, target, k, selection.fits)
             model = selection.fits[selection.p_star]
             _write_model(outdir, model)
-            est, row = _estimate(cfg, target, spec, model)
+            est, row = _estimate(cfg, outdir, target, spec, model)
             _emit_plot_data(outdir, cfg, target, model)
-            _emit_poisson_plot(outdir, cfg, tid, est)
             # answered only once every output of the target succeeded
             answer_rows.append(row)
             report[tid] = {"p_star": selection.p_star, "point": est.point,
@@ -333,8 +334,9 @@ def _cmd_select(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg, data, model, spec, target = _model_prologue(args)
     _check_panel(cfg, data)
-    est, row = _estimate(cfg, target, spec, model)
-    _write_csv(_outdir(cfg) / "answer.csv", cfg, ANSWER_HEADER, [row])
+    outdir = _outdir(cfg)
+    est, row = _estimate(cfg, outdir, target, spec, model)
+    _write_csv(outdir / "answer.csv", cfg, ANSWER_HEADER, [row])
     print(f"{model.target_id}: point={est.point} ci=[{est.ci_lo}, {est.ci_hi}]")
     return 0
 

@@ -1,7 +1,8 @@
 """Frequency estimation and minimal-length Poisson intervals.
 
 Under the fitted model each of the exceedances expected in the unseen runs
-crosses the event threshold independently with one probability, so a
+crosses the event threshold independently with one probability, the
+model's survival function at the threshold (``potmodel.survival``), so a
 replication's count is binomial and is drawn as such; replicated counts
 give a median point estimate on the 1/total_runs grid and a
 Poisson-approximation confidence interval of minimal integer length.
@@ -16,11 +17,8 @@ import numpy as np
 from scipy import special
 
 from .ingest import DAYS_PER_YEAR
-from .potmodel import PotModel
+from .potmodel import PotModel, survival
 from .reduce import TargetSpec, UnivariateTarget, exceedances
-
-QUARTER_PI = math.pi / 4.0
-QUADRATURE_NODES = 64  # Gauss-Legendre nodes for the angular integral
 
 
 @dataclass
@@ -118,34 +116,6 @@ def poisson_interval(lam: float, confidence: float) -> tuple:
     return int(best), int(best) + hi, float(window[best])
 
 
-def exceedance_probability(model: PotModel, threshold: float) -> float:
-    """Probability that one ``sample_model`` draw is at or above the threshold.
-
-    A draw on day d is q + f(d) * E, so it reaches the threshold with
-    probability exp(-(threshold - q)+ / f(d)), averaged over the day pool.
-    The angular kind multiplies by min(sin T, cos T), T ~ U(0, pi/2), which
-    has the law of sin T', T' ~ U(0, pi/4); that average over T' is taken
-    by Gauss-Legendre quadrature.  The integrand is exactly 1 where
-    sin T' >= threshold / q, so the quadrature stops at that kink and the
-    flat part is added in closed form.
-    """
-    table = model.scale.table
-    if model.kind == "direct":
-        per_day = np.exp(-max(threshold - model.q, 0.0) / table)
-    else:
-        top = QUARTER_PI
-        if 0.0 < threshold < model.q:
-            top = min(top, math.asin(threshold / model.q))
-        x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-        theta = 0.5 * top * (x + 1.0)
-        excess = np.maximum(threshold / np.sin(theta) - model.q, 0.0)
-        integral = np.exp(-excess / table[:, None]) @ w * (0.5 * top)
-        per_day = (integral + (QUARTER_PI - top)) / QUARTER_PI
-    # integer day weights, divided last: a certain event gives exactly 1.0
-    weights = np.bincount(model.day_pool, minlength=DAYS_PER_YEAR + 1)[1:]
-    return float(weights @ per_day) / model.day_pool.size
-
-
 def body_event_rate(target: UnivariateTarget, model: PotModel, spec: TargetSpec) -> float:
     """Share of the target's body days (tail series <= q) with y at or above
     the threshold.
@@ -176,8 +146,8 @@ def estimate_frequency(
     """Replicated count of threshold crossings in the unseen runs.
 
     Each replication counts the m = ceil((1-p) * unseen_days) exceedances
-    that cross the event threshold, Binomial(m, pi) with pi from
-    ``exceedance_probability``; the other unseen days, which lie at or
+    that cross the event threshold, Binomial(m, pi) with pi the model's
+    ``survival`` at the threshold; the other unseen days, which lie at or
     below q, cross at ``body_rate`` (see ``body_event_rate``).  The count
     observed in the given runs is added to every replication.
     """
@@ -189,7 +159,7 @@ def estimate_frequency(
         raise ValueError("observed_count must be >= 0")
     unseen_days = (cfg.total_runs - cfg.given_runs) * cfg.years * DAYS_PER_YEAR
     m = int(math.ceil((1.0 - model.p) * unseen_days))
-    pi = exceedance_probability(model, spec.event_threshold)
+    pi = survival(model, spec.event_threshold)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     counts = rng.binomial(m, pi, size=cfg.n_replications) + observed_count
     counts += rng.binomial(unseen_days - m, body_rate, size=cfg.n_replications)

@@ -6,13 +6,14 @@ a cyclic cubic regression spline fitted by least squares, and E is
 standard exponential (tail shape fixed at zero throughout).  The spline
 basis at the 365 days is built once per n_basis; a fit gathers its rows.
 
-sample_model draws a sample of n values and sample_top its k largest.
-sample_tops draws many rows of a sample's k largest in law, not bit for
-bit: it draws only the values above a threshold, about
-(sqrt(k) + DIRECT_MARGIN)**2 of them for the direct kind and OVERSAMPLE * k
-for the angular one, their days as a multinomial count per distinct pool
-day in random order, and the rest only when they could reach the top k; of
-those it computes the angle only where the value could.
+sample_model draws a sample of n values, and survival(model, y) is the
+probability that one of them is at least y.  sample_tops draws many rows
+of a sample's k largest in law, not bit for bit: it draws only the values
+above a threshold, about (sqrt(k) + DIRECT_MARGIN)**2 of them for the
+direct kind and OVERSAMPLE * k for the angular one, their days as a
+multinomial count per distinct pool day in random order, and the rest only
+when they could reach the top k; of those it computes the angle only where
+the value could.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .reduce import (MIN_QQ_VALUES, ExceedanceSet, InsufficientDataError,
 SQRT50 = math.sqrt(50.0)
 
 DEFAULT_N_BASIS = 10
+
+QUARTER_PI = math.pi / 4.0
+QUADRATURE_NODES = 64  # Gauss-Legendre nodes for the angular survival integral
 
 # the JSON type of each key of a model file; older files may also carry
 # knots, which is derived from n_basis, and shape, which must be 0
@@ -76,6 +80,14 @@ def _bspline3(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_n_basis(n_basis: int) -> None:
+    """ValueError unless n_basis is in 4..365: a cubic basis needs 4
+    functions, and a basis at 365 days has at most 365 independent ones,
+    so any more make every fit rank-deficient."""
+    if not 4 <= n_basis <= DAYS_PER_YEAR:
+        raise ValueError(f"n_basis must be >= 4 and <= {DAYS_PER_YEAR}, got {n_basis}")
+
+
 @functools.lru_cache
 def day_basis(n_basis: int) -> np.ndarray:
     """Periodic uniform cubic B-spline basis at days of year 1..365 (row
@@ -84,8 +96,7 @@ def day_basis(n_basis: int) -> np.ndarray:
     The basis is a partition of unity (constants lie in its span) and is C2
     across the year wrap.
     """
-    if n_basis < 4:
-        raise ValueError("n_basis must be >= 4")
+    check_n_basis(n_basis)
     h = DAYS_PER_YEAR / n_basis
     x = np.arange(DAYS_PER_YEAR, dtype=np.float64)
     cols = np.empty((DAYS_PER_YEAR, n_basis))
@@ -321,11 +332,6 @@ def largest(values: np.ndarray, k: int) -> np.ndarray:
     return np.sort(np.partition(values, n - k, axis=-1)[..., n - k:], axis=-1)
 
 
-def _check_k(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-
-
 def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
     """Draw n independent exceedance-level samples from the fitted model.
 
@@ -337,6 +343,34 @@ def sample_model(model: PotModel, n: int, seed) -> np.ndarray:
         raise ValueError("n must be >= 1")
     base, u = _draw(model, np.random.default_rng(seed), n)
     return base if u is None else _angular(base, u)
+
+
+def survival(model: PotModel, y: float) -> float:
+    """Probability that one ``sample_model`` draw is at or above y.
+
+    A draw on day d is q + f(d) * E, so it reaches y with probability
+    exp(-(y - q)+ / f(d)), averaged over the day pool.  The angular kind
+    multiplies by min(sin T, cos T), T ~ U(0, pi/2), which has the law of
+    sin T', T' ~ U(0, pi/4); that average over T' is taken by
+    Gauss-Legendre quadrature.  The integrand is exactly 1 where
+    sin T' >= y / q, so the quadrature stops at that kink and the flat part
+    is added in closed form.
+    """
+    table = model.scale.table
+    if model.kind == "direct":
+        per_day = np.exp(-max(y - model.q, 0.0) / table)
+    else:
+        top = QUARTER_PI
+        if 0.0 < y < model.q:
+            top = min(top, math.asin(y / model.q))
+        x, w = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
+        theta = 0.5 * top * (x + 1.0)
+        excess = np.maximum(y / np.sin(theta) - model.q, 0.0)
+        integral = np.exp(-excess / table[:, None]) @ w * (0.5 * top)
+        per_day = (integral + (QUARTER_PI - top)) / QUARTER_PI
+    # integer day weights, divided last: a certain draw gives exactly 1.0
+    weights = np.bincount(model.day_pool, minlength=DAYS_PER_YEAR + 1)[1:]
+    return float(weights @ per_day) / model.day_pool.size
 
 
 def _thinning(model: PotModel, n: int, k: int):
@@ -411,7 +445,8 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
     are drawn BLOCK at a time, always in whole blocks, so row r's draws do
     not depend on ``rows``.
     """
-    _check_k(n, k)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     tau, pi, scale, law = _thinning(model, n, k)
     cutoff = tau * (ANGULAR_BOUND if model.kind == "angular" else 1.0)
     out = np.empty((rows, k))
@@ -434,12 +469,6 @@ def sample_tops(model: PotModel, n: int, k: int, rng, rows: int) -> np.ndarray:
                 [drawn, _below(model, rng, tau, tops[r, 0], n - counts[r])]), k)
         out[start:start + BLOCK] = tops[:rows - start]
     return out
-
-
-def sample_top(model: PotModel, n: int, k: int, seed) -> np.ndarray:
-    """The k largest values of ``sample_model(model, n, seed)``, ascending."""
-    _check_k(n, k)
-    return largest(sample_model(model, n, seed), k)
 
 
 def observed_exceedance_values(target: UnivariateTarget, model: PotModel) -> np.ndarray:

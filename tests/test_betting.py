@@ -18,7 +18,7 @@ from potbet import (
     null_calibration,
     reduce_target,
     run_rounds,
-    sample_top,
+    sample_model,
     select_level,
     top_spacings,
 )
@@ -186,6 +186,15 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             GameConfig(seed=-1)
 
+    def test_n_basis_at_most_the_days_of_a_year(self):
+        # the basis has 365 distinct rows, so more functions than that
+        # would make the fit at every level rank-deficient
+        with pytest.raises(ValueError, match="n_basis must be >= 4 and <= 365, got 366"):
+            GameConfig(n_basis=366)
+        with pytest.raises(ValueError, match="got 3"):
+            GameConfig(n_basis=3)
+        assert GameConfig(n_basis=365).n_basis == 365
+
 
 class TestSelectLevel:
     def test_single_level_grid_returns_it(self):
@@ -222,7 +231,7 @@ class TestSelectLevel:
         sel = select_level(target, cfg)
         model = sel.fits[0.9]
         y_obs = observed_exceedance_values(target, model)
-        sample = sample_top(model, y_obs.size, 6, level_seed(77, 0.9))
+        sample = sample_model(model, y_obs.size, level_seed(77, 0.9))
         expected = run_rounds(top_spacings(y_obs, 5), top_spacings(sample, 5),
                               alpha=cfg.alpha)
         assert len(sel.results[0.9].wealth_path) == 5

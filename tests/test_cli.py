@@ -390,7 +390,7 @@ class TestRunPipeline:
             assert main(["estimate", *common, "--model", model]) == 0
             assert main(["report", *common, "--model", model]) == 0
             staged = read_all(out)
-            plots = ["seasonal", "adjusted", "qq"] + ["angular"] * (tid == "T3")
+            plots = ["seasonal", "adjusted", "qq", "poisson"] + ["angular"] * (tid == "T3")
             assert sorted(staged) == sorted(
                 ["answer.csv", f"model_{tid}.json", f"scores_{tid}_K3.csv",
                  f"scores_{tid}_K5.csv"] + [f"{name}_{tid}.csv" for name in plots])
@@ -459,6 +459,7 @@ class TestConfigAndErrors:
         ({"total_runs": 0}, "need 0 <= given_runs < total_runs"),
         ({"level_grid": [1.5]}, "levels must be in (0, 1), got [1.5]"),
         ({"n_basis": 2}, "n_basis must be >= 4"),
+        ({"n_basis": 366}, "n_basis must be >= 4 and <= 365, got 366"),
         ({"years": 0}, "years must be >= 1"),
         ({"k_list": ["3"]}, "config key 'k_list' must be a list of int, got ['3']"),
         ({"k_list": [3, True]}, "config key 'k_list' must be a list of int"),

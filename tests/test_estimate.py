@@ -1,4 +1,4 @@
-"""Tests for frequency estimation, exceedance probabilities and Poisson intervals."""
+"""Tests for frequency estimation and Poisson intervals."""
 
 import math
 
@@ -17,9 +17,8 @@ from potbet import (
     UnivariateTarget,
     body_event_rate,
     estimate_frequency,
-    exceedance_probability,
     poisson_interval,
-    sample_model,
+    survival,
 )
 
 
@@ -213,48 +212,6 @@ def seasonal_model(kind, q, p=0.999):
     )
 
 
-def assert_matches_sampling(model, threshold, n=2_000_000, seed=11):
-    """pi within 4 binomial standard errors of the share of n model draws."""
-    pi = exceedance_probability(model, threshold)
-    share = float(np.mean(sample_model(model, n, seed) >= threshold))
-    assert 0.0 < pi < 1.0
-    assert abs(pi - share) <= 4.0 * math.sqrt(pi * (1.0 - pi) / n)
-
-
-class TestExceedanceProbability:
-    @pytest.mark.parametrize("q,threshold", [(1.0, 2.5), (0.0, 0.7)])
-    def test_direct_matches_sampling(self, q, threshold):
-        assert_matches_sampling(seasonal_model("direct", q), threshold)
-
-    @pytest.mark.parametrize("q,threshold", [
-        (1.0, 1.5),   # threshold above q: no flat part
-        (2.5, 2.0),   # sin T' = 0.8 lies beyond pi/4: no flat part
-        (4.0, 2.0),   # the kink asin(1/2) = pi/6 falls inside (0, pi/4)
-    ])
-    def test_angular_matches_sampling(self, q, threshold):
-        assert_matches_sampling(seasonal_model("angular", q), threshold)
-
-    @pytest.mark.parametrize("q,threshold", [(1.0, 1.5), (2.5, 2.0), (4.0, 2.0),
-                                             (4.0, 0.5), (0.5, 6.0)])
-    def test_quadrature_converged(self, monkeypatch, q, threshold):
-        model = seasonal_model("angular", q)
-        coarse = exceedance_probability(model, threshold)
-        monkeypatch.setattr(estimate, "QUADRATURE_NODES", 512)
-        fine = exceedance_probability(model, threshold)
-        assert coarse == pytest.approx(fine, rel=1e-12, abs=0.0)
-
-    def test_direct_at_or_below_q_is_certain(self):
-        model = seasonal_model("direct", 3.0)
-        assert exceedance_probability(model, 3.0) == 1.0
-        assert exceedance_probability(model, -1.0) == 1.0
-
-    def test_direct_closed_form_weights_pool_days(self):
-        model = seasonal_model("direct", 1.0)
-        f = model.scale(model.day_pool)
-        assert exceedance_probability(model, 2.0) == pytest.approx(
-            float(np.mean(np.exp(-1.0 / f))), rel=1e-14)
-
-
 class TestBodyEventRate:
     def test_direct_counts_body_days_at_or_above_threshold(self):
         target = UnivariateTarget("X1", y=np.arange(10.0), d=np.arange(1, 11))
@@ -280,7 +237,7 @@ class TestExactCounts:
         cfg = EstimateConfig(n_replications=20_000, years=5, seed=8)
         est = estimate_frequency(model, spec, observed_count=3, cfg=cfg)
         m = int(np.ceil((1 - model.p) * 46 * 5 * 365))
-        pi = exceedance_probability(model, 2.0)
+        pi = survival(model, 2.0)
         n = cfg.n_replications
         mean, var = m * pi, m * pi * (1.0 - pi)
         tail = est.counts - 3

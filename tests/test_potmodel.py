@@ -24,7 +24,7 @@ from potbet import (
     qq_exponential,
     reduce_target,
     sample_model,
-    sample_top,
+    survival,
 )
 from potbet import potmodel
 from potbet.potmodel import (
@@ -209,6 +209,15 @@ class TestCyclicBasis:
             day_basis(3)
         with pytest.raises(ValueError):
             CyclicScale(n_basis=3, coefficients=np.ones(3), floor=1e-9)
+
+    def test_at_most_one_basis_function_per_day_of_year(self):
+        # 365 rows hold at most 365 independent columns: more would make
+        # every fit rank-deficient
+        assert np.linalg.matrix_rank(day_basis(365)) == 365
+        with pytest.raises(ValueError, match="n_basis must be >= 4 and <= 365, got 366"):
+            day_basis(366)
+        with pytest.raises(ValueError, match="got 366"):
+            CyclicScale(n_basis=366, coefficients=np.ones(366), floor=1e-9)
 
     @pytest.mark.parametrize("n_basis", [4, 6, 10, 23])
     def test_table_is_the_scale_at_each_day(self, n_basis):
@@ -400,6 +409,73 @@ class TestSampleModel:
         assert np.array_equal(sample_model(model, n, seed=30), want)
 
 
+def seasonal_model(kind, q, p=0.999):
+    """A model whose scale varies over the year and whose pool is uneven."""
+    return PotModel(
+        target_id="X1", p=p, q=q,
+        scale=CyclicScale(n_basis=4, coefficients=np.array([0.5, 1.5, 1.0, 2.0]),
+                          floor=1e-6),
+        day_pool=np.array([1, 1, 1, 40, 100, 200, 200, 290, 300, 365]), kind=kind,
+    )
+
+
+def assert_matches_sampling(model, y, n=2_000_000, seed=11):
+    """survival within 4 binomial standard errors of the share of n model draws."""
+    pi = survival(model, y)
+    share = float(np.mean(sample_model(model, n, seed) >= y))
+    assert 0.0 < pi < 1.0
+    assert abs(pi - share) <= 4.0 * math.sqrt(pi * (1.0 - pi) / n)
+
+
+class TestSurvival:
+    @pytest.mark.parametrize("q,y", [(1.0, 2.5), (0.0, 0.7)])
+    def test_direct_matches_sampling(self, q, y):
+        assert_matches_sampling(seasonal_model("direct", q), y)
+
+    @pytest.mark.parametrize("q,y", [
+        (1.0, 1.5),   # y above q: no flat part
+        (2.5, 2.0),   # sin T' = 0.8 lies beyond pi/4: no flat part
+        (4.0, 2.0),   # the kink asin(1/2) = pi/6 falls inside (0, pi/4)
+    ])
+    def test_angular_matches_sampling(self, q, y):
+        assert_matches_sampling(seasonal_model("angular", q), y)
+
+    @pytest.mark.parametrize("q,y", [(1.0, 1.5), (2.5, 2.0), (4.0, 2.0),
+                                     (4.0, 0.5), (0.5, 6.0)])
+    def test_quadrature_converged(self, monkeypatch, q, y):
+        model = seasonal_model("angular", q)
+        coarse = survival(model, y)
+        monkeypatch.setattr(potmodel, "QUADRATURE_NODES", 512)
+        fine = survival(model, y)
+        assert coarse == pytest.approx(fine, rel=1e-12, abs=0.0)
+
+    def test_direct_at_or_below_q_is_certain(self):
+        model = seasonal_model("direct", 3.0)
+        assert survival(model, 3.0) == 1.0
+        assert survival(model, -1.0) == 1.0
+
+    def test_direct_closed_form_weights_pool_days(self):
+        model = seasonal_model("direct", 1.0)
+        f = model.scale(model.day_pool)
+        assert survival(model, 2.0) == pytest.approx(
+            float(np.mean(np.exp(-1.0 / f))), rel=1e-14)
+
+    def test_fitted_models_keep_their_bits(self):
+        # the estimate's pi is survival at the event threshold, so these
+        # pinned values guard every answer.csv byte
+        data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=10, seed=29))
+        want = {
+            ("T1", 0.99): {6.5: "0.45146716891750766", 8.0: "0.1522441583319359"},
+            ("T2", 0.99): {8.0: "0.4757026693260001", 10.0: "0.12581878748740818"},
+            ("T3", 0.9): {3.0: "0.49486527899643984", 5.0: "0.11619403929248819",
+                          8.0: "0.0034626061485916832"},
+        }
+        for (tid, p), values in want.items():
+            model = fit_pot_model(reduce_target(data, TargetSpec.canonical(tid)), p,
+                                  n_basis=6)
+            assert {y: repr(survival(model, y)) for y in values} == values
+
+
 def fitted_models():
     """A direct (T2) and an angular (T3) model fitted on one small panel."""
     data = generate_synthetic(SynthSpec(n_runs=2, years_per_run=10, seed=29))
@@ -413,7 +489,10 @@ SAMPLE_TOP_MODELS = fitted_models() + [
 ]
 
 
-class TestSampleTop:
+class TestLargest:
+    """select_level plays the top_spacings of a whole sample_model sample,
+    read through largest: its k largest values, ascending, bit for bit."""
+
     @given(st.sampled_from(range(len(SAMPLE_TOP_MODELS))),
            st.integers(min_value=1, max_value=60),
            st.one_of(st.just(0), st.integers(min_value=1, max_value=3000)),
@@ -422,34 +501,16 @@ class TestSampleTop:
     def test_top_k_of_sample_model_bit_for_bit(self, which, k, extra, seed):
         # extra = 0 is n = k
         model = SAMPLE_TOP_MODELS[which]
-        n = k + extra
-        want = np.sort(sample_model(model, n, seed))[-k:]
-        assert np.array_equal(sample_top(model, n, k, seed), want)
+        sample = sample_model(model, k + extra, seed)
+        assert np.array_equal(largest(sample, k), np.sort(sample)[-k:])
 
     @pytest.mark.parametrize("which", range(len(SAMPLE_TOP_MODELS)))
     def test_top_k_at_calibration_sizes(self, which):
         model = SAMPLE_TOP_MODELS[which]
         for k in (3, 6, 26, 61):
-            n = 3649
             for seed in range(5):
-                want = np.sort(sample_model(model, n, seed))[-k:]
-                assert np.array_equal(sample_top(model, n, k, seed), want)
-
-    @pytest.mark.parametrize("n,k", [(5, 0), (5, 6)])
-    def test_k_outside_one_to_n_rejected(self, n, k):
-        with pytest.raises(ValueError, match="k="):
-            sample_top(flat_model(), n, k, seed=0)
-
-    def test_angular_factor_below_bound_near_quarter_pi(self):
-        # the pruning bound: min(sin, cos) peaks at sqrt(2)/2 at pi/4
-        quarter = math.pi / 4.0
-        theta = np.concatenate([
-            np.linspace(quarter - 1e-3, quarter + 1e-3, 2_000_001),
-            quarter + np.arange(-1000, 1001) * np.spacing(quarter),
-            np.linspace(0.0, math.pi / 2.0, 100_001),
-        ])
-        factor = np.minimum(np.sin(theta), np.cos(theta))
-        assert factor.max() <= math.sqrt(2.0) / 2.0 < ANGULAR_BOUND
+                sample = sample_model(model, 3649, seed)
+                assert np.array_equal(largest(sample, k), np.sort(sample)[-k:])
 
 
 def reference_tops(model, n, k, rng, rows, chunk=500):
@@ -500,6 +561,17 @@ class TestSampleTops:
     """sample_tops draws its own stream, so its rows are compared with the top
     k of sample_model's samples in law: a two-sample KS test on every order
     statistic and every normalised spacing, at fixed seeds."""
+
+    def test_angular_factor_below_bound_near_quarter_pi(self):
+        # the pruning bound: min(sin, cos) peaks at sqrt(2)/2 at pi/4
+        quarter = math.pi / 4.0
+        theta = np.concatenate([
+            np.linspace(quarter - 1e-3, quarter + 1e-3, 2_000_001),
+            quarter + np.arange(-1000, 1001) * np.spacing(quarter),
+            np.linspace(0.0, math.pi / 2.0, 100_001),
+        ])
+        factor = np.minimum(np.sin(theta), np.cos(theta))
+        assert factor.max() <= math.sqrt(2.0) / 2.0 < ANGULAR_BOUND
 
     @pytest.mark.parametrize("which,n,k,patch,completes", [
         (0, 500, 6, {}, True),                      # direct, thinned: a rare row completes
